@@ -1506,7 +1506,7 @@ fastcore_repr(FastCoreObject *self)
     X(tx_free_slots) X(rx_device_per_packet) X(softirq_post) \
     X(tx_reclaim_per_packet) X(polled_rx_per_packet) X(polled_stub_handler) \
     X(ticks) X(on_tick) X(callout_table) X(due) X(func) X(executed) \
-    X(clock_tick) X(callout_run) X(quantum_ticks) X(requeue_behind)
+    X(clock_tick) X(callout_run) X(_rotate_quantum)
 
 enum {
 #define PP_ENUM(n) PPK_##n,
@@ -4840,7 +4840,7 @@ enum {
     GS_HI_POST, GS_HI_AFTER,
     GS_IP_ENTER, GS_IP_FORWARD,                  /* ip.input_packet */
     GS_POLLED_RESUME,
-    GS_CLOCK_BODY, GS_CLOCK_CALLOUTS, GS_CLOCK_RUN, GS_CLOCK_ROTATE,
+    GS_CLOCK_BODY, GS_CLOCK_CALLOUTS, GS_CLOCK_RUN,
 };
 
 static PyObject *  /* new ref */
@@ -5616,9 +5616,15 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
         case GS_CLOCK_CALLOUTS:
             if (g->batch == NULL ||
                 g->handled >= PyList_GET_SIZE(g->batch)) {
+                PyObject *r;
                 Py_CLEAR(g->batch);
-                g->state = GS_CLOCK_ROTATE;
-                break;
+                /* self._rotate_quantum() runs as Python: it walks every
+                 * core and acts once per quantum, not per packet. */
+                r = pp_meth0(drv, PPK__rotate_quantum);
+                if (r == NULL)
+                    goto fail;
+                Py_DECREF(r);
+                goto finish;
             }
             return ppgen_yield(g, g->c2, GS_CLOCK_RUN, pres);
 
@@ -5649,46 +5655,6 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             g->handled += 1;
             g->state = GS_CLOCK_CALLOUTS;
             break;
-        }
-
-        case GS_CLOCK_ROTATE: {
-            /* Kernel._rotate_quantum, inlined. */
-            PyObject *config, *interrupted, *st;
-            long long t, q, pc;
-            config = gdr(drv, PPK_config);
-            if (config == NULL ||
-                gll(config, PPK_quantum_ticks, &q) < 0 ||
-                gll(drv, PPK_ticks, &t) < 0)
-                goto fail;
-            if (q == 0) {
-                PyErr_SetString(PyExc_ZeroDivisionError,
-                                "integer modulo by zero");
-                goto fail;
-            }
-            if (t % q != 0)
-                goto finish;
-            interrupted = gdr(p->cpu, PPK__last_thread);
-            if (interrupted == NULL)
-                goto fail;
-            if (interrupted == Py_None)
-                goto finish;
-            if (gll(interrupted, PPK_priority_class, &pc) < 0)
-                goto fail;
-            if (pc != 1)              /* CLASS_USER */
-                goto finish;
-            st = gdr(interrupted, PPK_state);
-            if (st == NULL)
-                goto fail;
-            if (!pp_state_is(st, pps.st_alive))
-                goto finish;
-            {
-                PyObject *r = pp_meth1(p->cpu, PPK_requeue_behind,
-                                       interrupted);
-                if (r == NULL)
-                    goto fail;
-                Py_DECREF(r);
-            }
-            goto finish;
         }
 
         default:

@@ -9,7 +9,13 @@ the instance attribute makes the Python method visible again. All
 mutable state stays in the Python objects, so C and Python execution
 can interleave freely and remain bit-identical.
 
-Escape seams (ISSUE 9 / DESIGN.md §13): the fast path is only installed
+Every core is bound the same way: each CPU in ``kernel.cpus``, each
+controller in ``kernel.controllers`` and each line in
+``kernel.irq_lines()`` gets its own entry points, and a C body finds its
+core through ``task.cpu`` or ``line.controller.cpu`` — never a global.
+A single-core machine is simply the one-element case (DESIGN.md §14).
+
+Escape seams (DESIGN.md §13): the fast path is only installed
 on the ``fast-c`` backend and is torn back out — by
 :func:`uninstall` — the moment a trace buffer, fault injector, or
 passive monitor attaches. Entry points that can outlive the teardown
@@ -77,36 +83,27 @@ def _bind(state, kind, owner, sim, extras=None):
 
 
 def install(router) -> bool:
-    """Bind the compiled CPU engine at the end of ``Router.__init__``.
+    """Bind the compiled CPU engine on every core at the end of
+    ``Router.__init__``.
 
-    Tasks created afterwards (all kernel threads, driver IRQ handlers,
-    softnet/netisr, apps — they are spawned in ``Router.start``) go
-    through the wrapped ``cpu.task`` and get a compiled ``deliver``.
+    No task exists yet: every task (idle loops, kernel threads, driver
+    IRQ handlers, softnet/netisr, apps) is spawned in ``Router.start``
+    through the wrapped ``cpu.task`` of its core and gets a compiled
+    ``deliver`` there.
     """
     sim = router.sim
     if not available(sim):
         return False
-    if len(router.kernel.cpus) > 1:
-        # The compiled engine models exactly one CPU; multi-core
-        # machines fall back to the pure-Python bodies mid-install
-        # (bit-identical — the calendar-queue core itself is
-        # core-agnostic and stays compiled).
-        return False
     state = {"bound": [], "restore": [], "dict_restore": []}
-    cpu = router.kernel.cpu
     try:
-        # Capture the original bound method before shadowing it.
-        _bind(state, "cpu.task", cpu, sim, (cpu.task,))
-        _bind(state, "cpu.add_work", cpu, sim)
-        _bind(state, "cpu.requeue_behind", cpu, sim)
-        _bind(state, "cpu.on_task_ipl_changed", cpu, sim)
-        _bind(state, "cpu.remove_task", cpu, sim)
-        _bind(state, "cpu._complete", cpu, sim)
-        # The idle task is the only task alive this early; everything
-        # else is spawned during start() via the wrapped cpu.task.
-        idle = getattr(router.kernel, "idle_task", None)
-        if idle is not None:
-            _bind(state, "task.deliver", idle, sim)
+        for cpu in router.kernel.cpus:
+            # Capture the original bound method before shadowing it.
+            _bind(state, "cpu.task", cpu, sim, (cpu.task,))
+            _bind(state, "cpu.add_work", cpu, sim)
+            _bind(state, "cpu.requeue_behind", cpu, sim)
+            _bind(state, "cpu.on_task_ipl_changed", cpu, sim)
+            _bind(state, "cpu.remove_task", cpu, sim)
+            _bind(state, "cpu._complete", cpu, sim)
     except Exception:
         router.__dict__[_PP_STATE] = state
         uninstall(router)
@@ -178,29 +175,30 @@ def install_started(router) -> bool:
         _bind(state, "ip._dispatch", router.ip, sim)
         # Interrupt lines exist only after the drivers attached in
         # Router.start — which is why this runs at the end of start().
-        for line in router.kernel.interrupts.lines:
+        # Device lines sit on their steered core's controller.
+        for line in router.kernel.irq_lines():
             _bind(state, "line.request", line, sim)
         # Compiled IRQ dispatch: protos let try_deliver build the
-        # handler task and run its body as a C state machine. Lines
-        # without a proto (softnet, clock) fall back to the Python
-        # try_deliver from inside the C binding.
-        ctrl = router.kernel.interrupts
-        cpu = router.kernel.cpu
-        _bind(state, "ctrl.try_deliver", ctrl, sim)
-        _bind(state, "ctrl._on_ipl_change", ctrl, sim)
-        # The controller registered its bound _on_ipl_change as an IPL
-        # observer at construction; repoint that slot at the compiled
-        # entry (the restore list replays ``obs[i] = original``).
-        observers = cpu.ipl_observers
-        for i, cb in enumerate(observers):
-            if (
-                getattr(cb, "__self__", None) is ctrl
-                and getattr(cb, "__func__", None)
-                is type(ctrl)._on_ipl_change
-            ):
-                state["dict_restore"].append((observers, i, cb))
-                observers[i] = ctrl.__dict__["_on_ipl_change"]
-                break
+        # handler task on the line's core and run its body as a C state
+        # machine. Lines without a proto (softnet, hybrid) fall back to
+        # the Python try_deliver from inside the C binding.
+        for ctrl in router.kernel.controllers:
+            _bind(state, "ctrl.try_deliver", ctrl, sim)
+            _bind(state, "ctrl._on_ipl_change", ctrl, sim)
+            # The controller registered its bound _on_ipl_change as an
+            # IPL observer of its core at construction; repoint that
+            # slot at the compiled entry (the restore list replays
+            # ``obs[i] = original``).
+            observers = ctrl.cpu.ipl_observers
+            for i, cb in enumerate(observers):
+                if (
+                    getattr(cb, "__self__", None) is ctrl
+                    and getattr(cb, "__func__", None)
+                    is type(ctrl)._on_ipl_change
+                ):
+                    state["dict_restore"].append((observers, i, cb))
+                    observers[i] = ctrl.__dict__["_on_ipl_change"]
+                    break
         for drv in (router.driver_in, router.driver_out):
             t = type(drv)
             if t is BsdDriver:

@@ -3,7 +3,8 @@
 The golden-determinism suite proves a *fixed* matrix of trials never
 changes. This module probes everything that matrix does not: it fuzzes
 reproducible trial cases — kernel variant x workload (including the
-adversarial generators) x rate x a randomly generated
+adversarial generators) x rate x machine (core count, IRQ steering,
+isolated polling cores) x a randomly generated
 :class:`~repro.faults.FaultPlan` — and runs each case three ways:
 
 1. **reference**: pure backend with the invariant sanitizer attached
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional
 
 from ..core import variants
 from ..faults import FaultPlan
+from ..hw.machine import STEERING_POLICIES, MachineSpec
 from ..sim.backend import FAST, PURE
 from ..sim.randomness import derive_seed
 from .harness import _run_trial_impl
@@ -58,6 +60,7 @@ CHAOS_VARIANTS = {
     "clocked": lambda: variants.clocked(),
     "clocked-mitigate": lambda: variants.clocked(mitigate=True),
     "high-ipl": lambda: variants.high_ipl(),
+    "hybrid": lambda: variants.hybrid(),
 }
 
 CHAOS_WORKLOADS = (
@@ -70,6 +73,8 @@ CHAOS_WORKLOADS = (
 )
 
 CHAOS_RATES = (2_000.0, 5_000.0, 8_000.0, 12_000.0)
+
+CHAOS_CORES = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,7 @@ class ChaosCase:
     warmup_s: float
     attack_rate_pps: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
+    machine: Optional[MachineSpec] = None
 
     def describe(self) -> str:
         bits = [
@@ -103,6 +109,16 @@ class ChaosCase:
                 if name != "seed" and value
             ]
             bits.append("faults[%s]" % ",".join(armed))
+        machine = self.machine
+        if machine is not None:
+            bits.append(
+                "cores=%d/%s%s"
+                % (
+                    machine.cores,
+                    machine.steering,
+                    "/isolate" if machine.isolate_polling else "",
+                )
+            )
         return " ".join(bits)
 
 
@@ -149,6 +165,15 @@ def fuzz_fault_plan(rng: random.Random) -> FaultPlan:
     return plan
 
 
+def fuzz_machine(rng: random.Random) -> MachineSpec:
+    """A random machine: core count x IRQ steering x polling isolation."""
+    return MachineSpec(
+        cores=rng.choice(CHAOS_CORES),
+        steering=rng.choice(STEERING_POLICIES),
+        isolate_polling=rng.random() < 0.5,
+    )
+
+
 def fuzz_case(seed: int, index: int) -> ChaosCase:
     """Derive case ``index`` of the chaos run rooted at ``seed``.
 
@@ -175,6 +200,7 @@ def fuzz_case(seed: int, index: int) -> ChaosCase:
         warmup_s=0.02,
         attack_rate_pps=attack_rate,
         fault_plan=plan,
+        machine=fuzz_machine(rng),
     )
 
 
@@ -211,6 +237,7 @@ def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
         watchdog=True,
         sanitize=sanitize,
         backend=backend,
+        machine=case.machine,
     )
 
 

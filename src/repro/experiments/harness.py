@@ -249,9 +249,9 @@ def run_trial(
     ``router`` keeps whatever simulator it was built with.
 
     ``machine`` (a :class:`~repro.hw.machine.MachineSpec`) selects the
-    core topology; None is the paper's single-core machine. At
-    ``cores > 1`` the compiled fast path declines to install and the
-    trial runs on the pure bodies.
+    core topology; None is the paper's single-core machine. The
+    compiled fast path binds every core, so ``backend="fast"`` runs
+    compiled bodies at any core count.
     """
     if isinstance(config, TrialSpec):
         if rate_pps is not None:

@@ -5,7 +5,8 @@ contract is that for any spec the fast backend produces byte-for-byte
 the same :class:`TrialResult` as the pure-python simulator — same
 firing order, same RNG draw order, same counters, drops, latency
 percentiles, fault reports, and timelines. These tests sweep that
-contract across the full driver x fault-plan x trace matrix, pin a
+contract across the full driver x fault-plan x trace x machine matrix
+(the multi-core machine runs the compiled path on every core), pin a
 slice of the golden fixture to the fast backend explicitly, and prove
 the cache fingerprint never depends on which core ran.
 """
@@ -23,6 +24,7 @@ from repro.experiments.engine import trial_fingerprint
 from repro.experiments.harness import run_trial
 from repro.experiments.spec import TrialSpec
 from repro.experiments.results import trial_to_dict
+from repro.hw.machine import STEERING_RSS, MachineSpec
 from repro.sim.backend import make_simulator, resolve_backend
 from repro.sim.simulator import Simulator
 
@@ -31,13 +33,21 @@ DRIVERS = {
     "polling": variants.polling,
     "high_ipl": variants.high_ipl,
     "clocked": variants.clocked,
+    "hybrid": variants.hybrid,
 }
 PLANS = (None, "lossy-nic", "stalled-dma", "flaky-clock")
 TRACE = (False, True)
+#: None is the paper's single-core machine; the cores=4 RSS machine
+#: with isolated polling cores steers device lines off core 0.
+MACHINES = {
+    None: "",
+    MachineSpec(cores=4, steering=STEERING_RSS, isolate_polling=True): "-smp4",
+}
 TIMING = dict(duration_s=0.05, warmup_s=0.02)
 
 MATRIX = [
-    (driver, plan, trace)
+    (driver, plan, trace, machine)
+    for machine in MACHINES
     for driver in DRIVERS
     for plan in PLANS
     for trace in TRACE
@@ -51,8 +61,10 @@ def _canonical_bytes(result) -> bytes:
     return json.dumps(data, sort_keys=True).encode("utf-8")
 
 
-def _run(driver, plan, trace, backend):
-    kwargs = dict(TIMING, seed=3, workload="bursty", backend=backend)
+def _run(driver, plan, trace, machine, backend):
+    kwargs = dict(
+        TIMING, seed=3, workload="bursty", machine=machine, backend=backend
+    )
     if plan is not None:
         kwargs["fault_plan"] = plan
         kwargs["watchdog"] = True
@@ -62,13 +74,16 @@ def _run(driver, plan, trace, backend):
 
 
 @pytest.mark.parametrize(
-    "driver,plan,trace",
+    "driver,plan,trace,machine",
     MATRIX,
-    ids=["%s-%s-%s" % (d, p or "clean", "trace" if t else "plain") for d, p, t in MATRIX],
+    ids=[
+        "%s-%s-%s%s" % (d, p or "clean", "trace" if t else "plain", MACHINES[m])
+        for d, p, t, m in MATRIX
+    ],
 )
-def test_fast_backend_is_bit_identical(driver, plan, trace):
-    pure = _run(driver, plan, trace, backend="pure")
-    fast = _run(driver, plan, trace, backend="fast")
+def test_fast_backend_is_bit_identical(driver, plan, trace, machine):
+    pure = _run(driver, plan, trace, machine, backend="pure")
+    fast = _run(driver, plan, trace, machine, backend="fast")
     assert pure.backend == "pure"
     assert fast.backend == FASTCORE_KIND
     assert fast.backend.startswith("fast-")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.experiments.chaos import (
+    CHAOS_CORES,
     CHAOS_RATES,
     CHAOS_VARIANTS,
     CHAOS_WORKLOADS,
@@ -35,6 +36,8 @@ def test_fuzz_case_draws_from_the_published_axes():
         assert case.variant in CHAOS_VARIANTS
         assert case.workload in CHAOS_WORKLOADS
         assert case.rate_pps in CHAOS_RATES
+        assert case.machine.cores in CHAOS_CORES
+        assert "cores=%d/" % case.machine.cores in case.describe()
         assert case.duration_s > case.warmup_s >= 0
         if case.fault_plan is not None:
             case.fault_plan.validate()
@@ -43,12 +46,16 @@ def test_fuzz_case_draws_from_the_published_axes():
 def test_fuzz_covers_faults_attacks_and_mitigation():
     """50 cases from one seed should exercise the interesting corners:
     some armed fault plans, some adversarial workloads, some mitigated
-    variants — otherwise the fuzzer is not pulling its weight."""
+    variants, the hybrid driver, and every core count — otherwise the
+    fuzzer is not pulling its weight."""
     cases = [fuzz_case(0, i) for i in range(50)]
     assert any(c.fault_plan is not None for c in cases)
     assert any(c.fault_plan is None for c in cases)
     assert any(c.workload in ("synflood", "flashcrowd", "composite") for c in cases)
     assert any("mitigate" in c.variant for c in cases)
+    assert any(c.variant == "hybrid" for c in cases)
+    assert {c.machine.cores for c in cases} == set(CHAOS_CORES)
+    assert any(c.machine.isolate_polling for c in cases)
     attacked = [c for c in cases if c.workload == "composite"]
     assert all(c.attack_rate_pps and c.attack_rate_pps > c.rate_pps for c in attacked)
 

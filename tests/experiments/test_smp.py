@@ -1,5 +1,5 @@
-"""Multi-core trials: determinism, single-core identity, backend
-fallback parity, and the SMP livelock-onset shift.
+"""Multi-core trials: determinism, single-core identity, compiled-path
+parity on every core, and the SMP livelock-onset shift.
 
 The determinism contract (DESIGN.md §14): every core is stepped by the
 one calendar-queue simulator with a fixed core-index tie-break, so a
@@ -12,11 +12,16 @@ from dataclasses import asdict
 
 import pytest
 
+from repro._fastcore import FASTCORE_KIND
 from repro.core import variants
 from repro.experiments.engine import run_trials, trial_fingerprint
 from repro.experiments.harness import run_trial
 from repro.experiments.spec import TrialSpec, WorkloadSpec
+from repro.experiments.topology import Router
+from repro.hw.cpu import CLASS_USER
 from repro.hw.machine import STEERING_AFFINITY, STEERING_RSS, MachineSpec
+from repro.sim.backend import make_simulator
+from repro.sim.process import Work
 
 TIMING = dict(duration_s=0.06, warmup_s=0.02)
 
@@ -24,6 +29,7 @@ DRIVERS = {
     "unmodified": variants.unmodified,
     "polling": lambda: variants.polling(quota=10),
     "hybrid": lambda: variants.hybrid(quota=10),
+    "clocked": variants.clocked,
 }
 
 
@@ -138,20 +144,55 @@ def test_workload_spec_conflicts_with_flat_kwargs():
 
 
 # ----------------------------------------------------------------------
-# Fast-backend fallback parity at cores > 1
+# Compiled packet path at cores > 1
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("driver", ["unmodified", "polling"])
-def test_fast_backend_falls_back_bit_identically_at_multicore(driver):
-    """packetpath.install declines at cores>1; the fast backend must
-    still produce the same results as pure (it runs the pure bodies on
-    the compiled calendar queue)."""
-    pure = run_trial(_spec(driver, 4, STEERING_RSS, backend="pure"))
-    fast = run_trial(_spec(driver, 4, STEERING_RSS, backend="fast"))
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_fast_backend_runs_compiled_on_every_core(driver):
+    """The compiled packet path binds every core of a cores=4 RSS
+    machine, and the result still equals the pure oracle bit for bit."""
+    spec = _spec(driver, 4, STEERING_RSS)
+    pure = run_trial(spec.replace(backend="pure"))
+    router = Router(
+        spec.config, sim=make_simulator("fast"), machine=spec.machine
+    )
+    # A pre-built router carries the machine itself.
+    fast = run_trial(spec.replace(backend="fast", machine=None), router=router)
+    if FASTCORE_KIND == "fast-c":
+        for cpu in router.kernel.cpus:
+            assert "task" in cpu.__dict__, cpu.name
+        for controller in router.kernel.controllers:
+            assert "try_deliver" in controller.__dict__, controller.cpu.name
     pure_d, fast_d = asdict(pure), asdict(fast)
     pure_d.pop("backend")
     fast_d.pop("backend")
     assert pure_d == fast_d
+
+
+def _spin(cycles):
+    while True:
+        yield Work(cycles)
+
+
+def test_quantum_rotation_on_a_non_zero_core_matches_pure():
+    """The clock handler rotates the interrupted user thread of *every*
+    core at a quantum boundary, compiled or not."""
+    used = {}
+    for backend in ("pure", "fast"):
+        router = Router(
+            variants.unmodified(),
+            sim=make_simulator(backend),
+            machine=MachineSpec(cores=2),
+        )
+        router.start()
+        core = router.kernel.cpus[1]
+        spinners = [
+            core.spawn(_spin(3_000_000), "spin%d" % i, priority_class=CLASS_USER)
+            for i in range(2)
+        ]
+        router.run_for(200_000_000)
+        used[backend] = [task.cycles_used for task in spinners]
+    assert used["fast"] == used["pure"]
 
 
 # ----------------------------------------------------------------------
