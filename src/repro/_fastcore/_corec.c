@@ -40,6 +40,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <stdarg.h>
 #include <stdint.h>
 #include <math.h>
 #include <time.h>
@@ -1453,12 +1454,15 @@ fastcore_repr(FastCoreObject *self)
  * for __slots__ classes — so compiled and interpreted code can
  * interleave freely and results are bit-identical by construction.
  *
- * Observable seams escape to Python: repro._fastcore.packetpath only
- * installs these bindings on a clean router (no faults armed), and
- * *uninstalls* them when a trace buffer, fault injector or app is
- * attached. Residual C entry points that can outlive an uninstall
- * (pending completion events, per-task deliver bindings) check the
- * relevant trace hook and delegate to the Python method when armed. */
+ * Observers stay compiled. A body whose Python twin records a trace
+ * event reads the same ``trace`` attribute at the same point and, when
+ * a buffer is armed, calls its ``record``/``packet_drop``/
+ * ``packet_deliver`` — the one record path of both backends — with the
+ * same arguments in the same order (pp_trace below). A body whose
+ * Python twin consults an armed fault injector (``faults`` set on the
+ * NIC or line) hands that one call to the Python method. Only the
+ * passive monitor makes repro._fastcore.packetpath uninstall the
+ * bindings; the sanitizer forces the pure backend one layer up. */
 
 #include <structmember.h>
 
@@ -1506,7 +1510,8 @@ fastcore_repr(FastCoreObject *self)
     X(tx_free_slots) X(rx_device_per_packet) X(softirq_post) \
     X(tx_reclaim_per_packet) X(polled_rx_per_packet) X(polled_stub_handler) \
     X(ticks) X(on_tick) X(callout_table) X(due) X(func) X(executed) \
-    X(clock_tick) X(callout_run) X(_rotate_quantum)
+    X(clock_tick) X(callout_run) X(_rotate_quantum) X(record) \
+    X(packet_drop) X(packet_deliver)
 
 enum {
 #define PP_ENUM(n) PPK_##n,
@@ -1517,29 +1522,37 @@ enum {
 
 static PyObject *pp_keys[PPK_COUNT];
 
+/* Trace record kinds the compiled bodies emit (repro.trace.buffer). */
+#define PP_KINDS(X) \
+    X(IRQ_REQUEST) X(IRQ_DISPATCH) X(IRQ_RETURN) X(CPU_RUN) X(CPU_IDLE) \
+    X(RX_ACCEPT) X(RX_OVERFLOW) X(TX_COMPLETE) X(TX_RECLAIM) X(Q_ENQUEUE) \
+    X(Q_DROP) X(QUOTA_EXHAUST) X(PKT_INJECT)
+
+enum {
+#define PP_KIND_ENUM(n) TK_##n,
+    PP_KINDS(PP_KIND_ENUM)
+#undef PP_KIND_ENUM
+    TK_COUNT
+};
+
 /* Runtime symbols resolved from the repro package on first bind. */
 static struct {
     int ready;
     PyObject *Work, *Spl, *Sleep, *WaitSignal;       /* command types */
     PyObject *ProcessError;
     PyObject *st_new, *st_alive, *st_done, *st_failed; /* process states */
-    PyObject *cpu_reschedule, *cpu_complete;   /* unbound CPU methods */
-    PyObject *nic_receive, *nic_txcomplete;    /* unbound NIC methods */
+    PyObject *nic_receive;      /* unbound NIC methods */
     PyObject *nic_rx_pull, *nic_rx_pull_many, *nic_rx_pending;
-    PyObject *nic_tx_reclaim;
-    PyObject *pq_enqueue, *pq_dequeue, *red_enqueue; /* queue methods */
     PyObject *line_request;     /* unbound InterruptLine.request */
     PyObject *ip_dispatch;      /* unbound IPLayer._dispatch */
     PyObject *router_out_transmit, *router_in_transmit;
     PyObject *gen_ticks[3];     /* unbound _tick: constant/poisson/bursty */
-    PyObject *gen_gap_over;     /* unbound BurstyGenerator._gap_over */
     PyObject *lat_observe;      /* unbound LatencyRecorder.observe */
     PyObject *Packet;           /* exact packet type */
     PyObject *packet_ids;       /* net.packet._packet_ids (count object) */
     PyObject *CpuTask;          /* hw.cpu.CpuTask type */
-    PyObject *ctrl_try_deliver; /* unbound InterruptController methods */
-    PyObject *ctrl_handler_done;
-    PyObject *quota_exhaust;    /* trace.buffer.QUOTA_EXHAUST constant */
+    PyObject *ctrl_try_deliver; /* unbound InterruptController method */
+    PyObject *kinds[TK_COUNT];  /* trace.buffer record-kind constants */
     PyObject *empty_tuple;
     PyObject *deque_append, *deque_popleft;  /* unbound deque methods */
     PyObject *s_no_route, *s_arp_failure;    /* interned drop labels */
@@ -1568,6 +1581,17 @@ gd(PyObject *obj, int key)
     if (dp != NULL && *dp != NULL)
         return PyDict_GetItemWithError(*dp, pp_keys[key]);
     return NULL;
+}
+
+/* gd() variant that raises AttributeError when the key is absent. */
+static PyObject *  /* borrowed */
+gdr(PyObject *obj, int key)
+{
+    PyObject *v = gd(obj, key);
+    if (v == NULL && !PyErr_Occurred())
+        PyErr_Format(PyExc_AttributeError, "packetpath: missing %U",
+                     pp_keys[key]);
+    return v;
 }
 
 static inline int
@@ -1891,14 +1915,6 @@ pp_init_symbols(void)
     pps.Spl = pp_import_attr("repro.hw.cpu", "Spl");
     if (pps.Spl == NULL)
         return -1;
-    tmp = pp_import_attr("repro.hw.cpu", "CPU");
-    if (tmp == NULL)
-        return -1;
-    pps.cpu_reschedule = PyObject_GetAttrString(tmp, "_reschedule");
-    pps.cpu_complete = PyObject_GetAttrString(tmp, "_complete");
-    Py_DECREF(tmp);
-    if (pps.cpu_reschedule == NULL || pps.cpu_complete == NULL)
-        return -1;
     pps.off_work_cycles = slot_offset(pps.Work, "cycles");
     pps.off_spl_level = slot_offset(pps.Spl, "level");
     pps.off_sleep_ns = slot_offset(pps.Sleep, "ns");
@@ -1922,28 +1938,9 @@ pp_init_symbols(void)
     pps.nic_rx_pull = PyObject_GetAttrString(tmp, "rx_pull");
     pps.nic_rx_pull_many = PyObject_GetAttrString(tmp, "rx_pull_many");
     pps.nic_rx_pending = PyObject_GetAttrString(tmp, "rx_pending");
-    pps.nic_tx_reclaim = PyObject_GetAttrString(tmp, "tx_reclaim");
-    pps.nic_txcomplete = PyObject_GetAttrString(tmp, "_transmit_complete");
     Py_DECREF(tmp);
     if (pps.nic_receive == NULL || pps.nic_rx_pull == NULL ||
-        pps.nic_rx_pull_many == NULL || pps.nic_rx_pending == NULL ||
-        pps.nic_tx_reclaim == NULL || pps.nic_txcomplete == NULL)
-        return -1;
-    tmp = pp_import_attr("repro.kernel.queues", "PacketQueue");
-    if (tmp == NULL)
-        return -1;
-    pps.pq_enqueue = PyObject_GetAttrString(tmp, "enqueue");
-    pps.pq_dequeue = PyObject_GetAttrString(tmp, "dequeue");
-    Py_DECREF(tmp);
-    if (pps.pq_enqueue == NULL || pps.pq_dequeue == NULL)
-        return -1;
-    pps.red_enqueue = pp_import_attr("repro.kernel.queues", "REDQueue");
-    if (pps.red_enqueue == NULL)
-        return -1;
-    tmp = pps.red_enqueue;
-    pps.red_enqueue = PyObject_GetAttrString(tmp, "enqueue");
-    Py_DECREF(tmp);
-    if (pps.red_enqueue == NULL)
+        pps.nic_rx_pull_many == NULL || pps.nic_rx_pending == NULL)
         return -1;
     tmp = pp_import_attr("repro.hw.interrupts", "InterruptLine");
     if (tmp == NULL)
@@ -1983,14 +1980,10 @@ pp_init_symbols(void)
             if (tmp == NULL)
                 return -1;
             pps.gen_ticks[i] = PyObject_GetAttrString(tmp, "_tick");
-            if (i == 2)
-                pps.gen_gap_over = PyObject_GetAttrString(tmp, "_gap_over");
             Py_DECREF(tmp);
             if (pps.gen_ticks[i] == NULL)
                 return -1;
         }
-        if (pps.gen_gap_over == NULL)
-            return -1;
     }
     pps.Packet = pp_import_attr("repro.net.packet", "Packet");
     if (pps.Packet == NULL)
@@ -2057,19 +2050,68 @@ pp_init_symbols(void)
     if (tmp == NULL)
         return -1;
     pps.ctrl_try_deliver = PyObject_GetAttrString(tmp, "try_deliver");
-    pps.ctrl_handler_done = PyObject_GetAttrString(tmp, "_handler_done");
     Py_DECREF(tmp);
-    if (pps.ctrl_try_deliver == NULL || pps.ctrl_handler_done == NULL)
+    if (pps.ctrl_try_deliver == NULL)
         return -1;
-    pps.quota_exhaust = pp_import_attr("repro.trace.buffer", "QUOTA_EXHAUST");
-    if (pps.quota_exhaust == NULL)
-        return -1;
+    {
+        static const char *kind_names[TK_COUNT] = {
+#define PP_KIND_NAME(n) #n,
+            PP_KINDS(PP_KIND_NAME)
+#undef PP_KIND_NAME
+        };
+        for (i = 0; i < TK_COUNT; i++) {
+            pps.kinds[i] = pp_import_attr("repro.trace.buffer", kind_names[i]);
+            if (pps.kinds[i] == NULL)
+                return -1;
+        }
+    }
     pps.empty_tuple = PyTuple_New(0);
     if (pps.empty_tuple == NULL)
         return -1;
 
     pps.ready = 1;
     return 0;
+}
+
+/* ---------------- trace records ----------------------------------- */
+
+/* ``trace.<meth>(*args)`` on an armed TraceBuffer: its own record
+ * path (record / packet_drop / packet_deliver), so the ring, the site
+ * ids and the timeline fold have one implementation for both backends.
+ * Each hook mirrors the Python idiom ``trace = obj.trace; if trace is
+ * not None: trace.record(...)``: the caller reads ``trace`` where the
+ * Python body does and passes the Python call's arguments. A NULL
+ * argument is a lookup the caller made that failed (error set). */
+static int
+pp_trace(PyObject *trace, int meth, int nargs, ...)
+{
+    PyObject *stack[5], *r;
+    va_list va;
+    int i, ok = 1;
+    va_start(va, nargs);
+    for (i = 1; i <= nargs; i++)
+        ok &= (stack[i] = va_arg(va, PyObject *)) != NULL;
+    va_end(va);
+    if (!ok)
+        return -1;
+    stack[0] = trace;
+    Py_INCREF(trace);  /* the owner's dict only lends it */
+    r = PyObject_VectorcallMethod(pp_keys[meth], stack, nargs + 1, NULL);
+    Py_DECREF(trace);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* trace.record(kind, site, a) with an integer payload. */
+static int
+pp_record_ll(PyObject *trace, int kind, PyObject *site, long long a)
+{
+    PyObject *ao = site ? PyLong_FromLongLong(a) : NULL;
+    int rc = pp_trace(trace, PPK_record, 3, pps.kinds[kind], site, ao);
+    Py_XDECREF(ao);
+    return rc;
 }
 
 /* ---------------- CPU engine (hw/cpu.py, sim/process.py) ---------- */
@@ -2335,29 +2377,14 @@ fail:
     return -1;
 }
 
-/* CPU._reschedule. When a trace buffer is armed the Python method runs
- * instead (it records CPU_RUN/CPU_IDLE); behaviour is identical. */
+/* CPU._reschedule, recording CPU_IDLE/CPU_RUN when a trace is armed. */
 static int
 pp_reschedule(PyObject *cpu, FastCoreObject *sim)
 {
-    PyObject *trace = gd(cpu, PPK_trace);
     PyObject *remaining, *best, *current, *curt, *complete_fn, *cb_args;
-    PyObject *label, *remobj, *ev;
+    PyObject *label, *remobj, *ev, *trace;
     long long eff, hz, remns;
     int complete_owned = 0;
-    if (trace == NULL) {
-        if (PyErr_Occurred())
-            return -1;
-        PyErr_SetString(PyExc_AttributeError, "packetpath: trace missing");
-        return -1;
-    }
-    if (trace != Py_None) {
-        PyObject *res = PyObject_CallOneArg(pps.cpu_reschedule, cpu);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
     remaining = gd(cpu, PPK__remaining);
     if (remaining == NULL || !PyDict_Check(remaining)) {
         if (!PyErr_Occurred())
@@ -2388,8 +2415,15 @@ pp_reschedule(PyObject *cpu, FastCoreObject *sim)
             return -1;
         }
     }
-    if (best == NULL)
+    if (best == NULL) {
+        trace = gdr(cpu, PPK_trace);
+        if (trace == NULL ||
+            (trace != Py_None &&
+             pp_trace(trace, PPK_record, 2, pps.kinds[TK_CPU_IDLE],
+                      gdr(cpu, PPK_name)) < 0))
+            return -1;
         return pp_notify_ipl(cpu);
+    }
     if (gll(best, PPK__eff_ipl, &eff) < 0 || gll(cpu, PPK_hz, &hz) < 0)
         goto fail;
     if (eff == 0) {
@@ -2426,6 +2460,16 @@ pp_reschedule(PyObject *cpu, FastCoreObject *sim)
     if (sd(cpu, PPK__current, best) < 0 ||
         sll(cpu, PPK__chunk_started, sim->now_ns) < 0)
         goto fail;
+    trace = gdr(cpu, PPK_trace);
+    if (trace == NULL)
+        goto fail;
+    if (trace != Py_None) {
+        PyObject *name = gdr(best, PPK_name);
+        if (name == NULL ||
+            pp_trace(trace, PPK_record, 3, pps.kinds[TK_CPU_RUN], name,
+                     gdr(best, PPK__eff_ipl)) < 0)
+            goto fail;
+    }
     remaining = gd(cpu, PPK__remaining);
     remobj = PyDict_GetItemWithError(remaining, best);
     if (remobj == NULL)
@@ -2794,17 +2838,8 @@ pp_complete_impl(PPCtx *ctx, PyObject *task)
 {
     PyObject *cpu = ctx->owner;
     FastCoreObject *sim = ctx->sim;
-    PyObject *current, *remaining, *dfn, *trace;
+    PyObject *current, *remaining, *dfn;
     long long chunk, elapsed, hz, used, busy, was_ipl, cur_eff;
-    trace = gd(cpu, PPK_trace);
-    if (trace != NULL && trace != Py_None) {
-        /* Traced CPU: run the Python method (identical behaviour; its
-         * _reschedule records the context-switch events). */
-        return PyObject_CallFunctionObjArgs(pps.cpu_complete, cpu, task,
-                                            NULL);
-    }
-    if (trace == NULL && PyErr_Occurred())
-        return NULL;
     current = gd(cpu, PPK__current);
     if (current == NULL && PyErr_Occurred())
         return NULL;
@@ -3084,17 +3119,6 @@ static PyMethodDef def_cpu_task = {
 
 /* ---- Packet pipeline: shared helpers -------------------------------- */
 
-/* gd() variant that raises AttributeError when the key is absent. */
-static PyObject *  /* borrowed */
-gdr(PyObject *obj, int key)
-{
-    PyObject *v = gd(obj, key);
-    if (v == NULL && !PyErr_Occurred())
-        PyErr_Format(PyExc_AttributeError, "packetpath: missing %U",
-                     pp_keys[key]);
-    return v;
-}
-
 static int
 gdbl(PyObject *obj, int key, double *out)
 {
@@ -3247,13 +3271,12 @@ pp_fire_high(PyObject *q)
     return pp_fire_list(q, PPK_on_high);
 }
 
-/* PacketQueue.enqueue body, trace known unarmed.
- * Returns 1 accepted, 0 dropped, -1 error. */
+/* PacketQueue.enqueue body. Returns 1 accepted, 0 dropped, -1 error. */
 static int
 pp_pq_enqueue_body(PyObject *q, PyObject *item)
 {
     PyObject *items = gdr(q, PPK__items);
-    PyObject *c;
+    PyObject *c, *trace;
     long long limit, v, md;
     Py_ssize_t sz;
     if (items == NULL)
@@ -3274,6 +3297,12 @@ pp_pq_enqueue_body(PyObject *q, PyObject *item)
         name = gdr(q, PPK_name);
         if (name == NULL || pp_mark_dropped(item, name) < 0)
             return -1;
+        trace = gdr(q, PPK_trace);
+        if (trace == NULL ||
+            (trace != Py_None &&
+             pp_trace(trace, PPK_packet_drop, 3, pps.kinds[TK_Q_DROP], name,
+                      item) < 0))
+            return -1;
         if (pp_fire_high(q) < 0)
             return -1;
         return 0;
@@ -3290,12 +3319,17 @@ pp_pq_enqueue_body(PyObject *q, PyObject *item)
         return -1;
     if ((long long)sz + 1 > md && sll(q, PPK_max_depth, sz + 1) < 0)
         return -1;
+    trace = gdr(q, PPK_trace);
+    if (trace == NULL ||
+        (trace != Py_None &&
+         pp_record_ll(trace, TK_Q_ENQUEUE, gdr(q, PPK_name), sz + 1) < 0))
+        return -1;
     if (pp_fire_high(q) < 0)
         return -1;
     return 1;
 }
 
-/* PacketQueue.dequeue body, trace known unarmed. New ref or NULL. */
+/* PacketQueue.dequeue body (records nothing). New ref or NULL. */
 static PyObject *
 pp_pq_dequeue_body(PyObject *q)
 {
@@ -3495,11 +3529,7 @@ ppf_nic_receive(PyObject *self, PyObject *packet)
     Py_ssize_t sz;
     if (faults == NULL)
         return NULL;
-    trace = gdr(nic, PPK_trace);
-    if (trace == NULL)
-        return NULL;
-    if (faults != Py_None || trace != Py_None ||
-        Py_TYPE(packet) != (PyTypeObject *)pps.Packet) {
+    if (faults != Py_None || Py_TYPE(packet) != (PyTypeObject *)pps.Packet) {
         PyObject *stack[2];
         stack[0] = nic;
         stack[1] = packet;
@@ -3517,6 +3547,12 @@ ppf_nic_receive(PyObject *self, PyObject *packet)
         c = gdr(nic, PPK_rx_overflow_drops);
         if (c == NULL || counter_inc(c, 1) < 0)
             return NULL;
+        trace = gdr(nic, PPK_trace);
+        if (trace == NULL ||
+            (trace != Py_None &&
+             pp_trace(trace, PPK_packet_drop, 3, pps.kinds[TK_RX_OVERFLOW],
+                      gdr(nic, PPK_name), packet) < 0))
+            return NULL;
         Py_RETURN_FALSE;
     }
     arr = slot_get(packet, pps.off_pk[PK_nic_arrival_ns]);
@@ -3530,6 +3566,12 @@ ppf_nic_receive(PyObject *self, PyObject *packet)
         return NULL;
     c = gdr(nic, PPK_rx_accepted);
     if (c == NULL || counter_inc(c, 1) < 0)
+        return NULL;
+    trace = gdr(nic, PPK_trace);
+    if (trace == NULL ||
+        (trace != Py_None &&
+         pp_trace(trace, PPK_record, 2, pps.kinds[TK_RX_ACCEPT],
+                  gdr(nic, PPK_name)) < 0))
         return NULL;
     line = gdr(nic, PPK_rx_line);
     if (line == NULL)
@@ -3725,17 +3767,12 @@ ppf_nic_tx_reclaim(PyObject *self, PyObject *noarg)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *nic = ctx->owner;
-    PyObject *trace = gdr(nic, PPK_trace);
     long long freed, i;
     (void)noarg;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None)
-        return PyObject_CallOneArg(pps.nic_tx_reclaim, nic);
     if (gll(nic, PPK__tx_done, &freed) < 0)
         return NULL;
     if (freed) {
-        PyObject *ring = gdr(nic, PPK__tx_ring);
+        PyObject *ring = gdr(nic, PPK__tx_ring), *trace;
         if (ring == NULL)
             return NULL;
         for (i = 0; i < freed; i++) {
@@ -3746,6 +3783,12 @@ ppf_nic_tx_reclaim(PyObject *self, PyObject *noarg)
         }
         if (sll(nic, PPK__tx_done, 0) < 0)
             return NULL;
+        trace = gdr(nic, PPK_trace);
+        if (trace == NULL ||
+            (trace != Py_None &&
+             pp_record_ll(trace, TK_TX_RECLAIM, gdr(nic, PPK_name),
+                          freed) < 0))
+            return NULL;
     }
     return PyLong_FromLongLong(freed);
 }
@@ -3755,17 +3798,8 @@ ppf_nic_txcomplete(PyObject *self, PyObject *packet)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *nic = ctx->owner;
-    PyObject *trace = gdr(nic, PPK_trace);
-    PyObject *c, *hook, *line;
+    PyObject *trace, *c, *hook, *line;
     long long done;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None) {
-        PyObject *stack[2];
-        stack[0] = nic;
-        stack[1] = packet;
-        return PyObject_Vectorcall(pps.nic_txcomplete, stack, 2, NULL);
-    }
     if (gll(nic, PPK__tx_done, &done) < 0 ||
         sll(nic, PPK__tx_done, done + 1) < 0)
         return NULL;
@@ -3773,6 +3807,12 @@ ppf_nic_txcomplete(PyObject *self, PyObject *packet)
         return NULL;
     c = gdr(nic, PPK_tx_completed);
     if (c == NULL || counter_inc(c, 1) < 0)
+        return NULL;
+    trace = gdr(nic, PPK_trace);
+    if (trace == NULL ||
+        (trace != Py_None &&
+         pp_trace(trace, PPK_record, 2, pps.kinds[TK_TX_COMPLETE],
+                  gdr(nic, PPK_name)) < 0))
         return NULL;
     if (Py_TYPE(packet) == (PyTypeObject *)pps.Packet) {
         PyObject *now = PyLong_FromLongLong(ctx->sim->now_ns);
@@ -3834,18 +3874,7 @@ static PyObject *
 ppf_pq_enqueue(PyObject *self, PyObject *item)
 {
     PPCtx *ctx = (PPCtx *)self;
-    PyObject *q = ctx->owner;
-    PyObject *trace = gdr(q, PPK_trace);
-    int rc;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None) {
-        PyObject *stack[2];
-        stack[0] = q;
-        stack[1] = item;
-        return PyObject_Vectorcall(pps.pq_enqueue, stack, 2, NULL);
-    }
-    rc = pp_pq_enqueue_body(q, item);
+    int rc = pp_pq_enqueue_body(ctx->owner, item);
     if (rc < 0)
         return NULL;
     return PyBool_FromLong(rc);
@@ -3854,15 +3883,8 @@ ppf_pq_enqueue(PyObject *self, PyObject *item)
 static PyObject *
 ppf_pq_dequeue(PyObject *self, PyObject *noarg)
 {
-    PPCtx *ctx = (PPCtx *)self;
-    PyObject *q = ctx->owner;
-    PyObject *trace = gdr(q, PPK_trace);
     (void)noarg;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None)
-        return PyObject_CallOneArg(pps.pq_dequeue, q);
-    return pp_pq_dequeue_body(q);
+    return pp_pq_dequeue_body(((PPCtx *)self)->owner);
 }
 
 static PyObject *
@@ -3870,20 +3892,11 @@ ppf_red_enqueue(PyObject *self, PyObject *item)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *q = ctx->owner;
-    PyObject *trace = gdr(q, PPK_trace);
-    PyObject *items;
+    PyObject *items, *trace;
     double avg, w, navg, minth, maxth;
     long long since;
     Py_ssize_t sz;
     int drop = 0, rc;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None) {
-        PyObject *stack[2];
-        stack[0] = q;
-        stack[1] = item;
-        return PyObject_Vectorcall(pps.red_enqueue, stack, 2, NULL);
-    }
     items = gdr(q, PPK__items);
     if (items == NULL)
         return NULL;
@@ -3946,6 +3959,12 @@ ppf_red_enqueue(PyObject *self, PyObject *item)
                 return NULL;
         }
         if (pp_mark_dropped(item, ctx->b) < 0)
+            return NULL;
+        trace = gdr(q, PPK_trace);
+        if (trace == NULL ||
+            (trace != Py_None &&
+             pp_trace(trace, PPK_packet_drop, 3, pps.kinds[TK_Q_DROP],
+                      ctx->b, item) < 0))
             return NULL;
         if (pp_fire_high(q) < 0)
             return NULL;
@@ -4123,20 +4142,23 @@ ppf_line_request(PyObject *self, PyObject *noarg)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *line = ctx->owner;
-    PyObject *trace = gdr(line, PPK_trace);
-    PyObject *faults, *enabled, *insvc, *controller, *cpu, *cur;
+    PyObject *faults = gdr(line, PPK_faults);
+    PyObject *trace, *enabled, *insvc, *controller, *cpu, *cur;
     long long rc, ipl, eff;
     int t;
     (void)noarg;
-    if (trace == NULL)
-        return NULL;
-    faults = gdr(line, PPK_faults);
     if (faults == NULL)
         return NULL;
-    if (trace != Py_None || faults != Py_None)
+    if (faults != Py_None)
         return PyObject_CallOneArg(pps.line_request, line);
     if (gll(line, PPK_request_count, &rc) < 0 ||
         sll(line, PPK_request_count, rc + 1) < 0)
+        return NULL;
+    trace = gdr(line, PPK_trace);
+    if (trace == NULL ||
+        (trace != Py_None &&
+         pp_trace(trace, PPK_record, 2, pps.kinds[TK_IRQ_REQUEST],
+                  gdr(line, PPK_name)) < 0))
         return NULL;
     enabled = gdr(line, PPK_enabled);
     if (enabled == NULL)
@@ -4351,12 +4373,9 @@ ppf_router_out_transmit(PyObject *self, PyObject *packet)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *router = ctx->owner;
-    PyObject *trace = gdr(router, PPK_trace);
-    PyObject *c, *lat, *pool, *rec;
+    PyObject *trace, *c, *lat, *pool, *rec;
     int t;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None || Py_TYPE(packet) != (PyTypeObject *)pps.Packet) {
+    if (Py_TYPE(packet) != (PyTypeObject *)pps.Packet) {
         PyObject *stack[2];
         stack[0] = router;
         stack[1] = packet;
@@ -4423,6 +4442,16 @@ ppf_router_out_transmit(PyObject *self, PyObject *packet)
             }
         }
     }
+    trace = gdr(router, PPK_trace);
+    if (trace == NULL)
+        return NULL;
+    if (trace != Py_None) {
+        PyObject *nic = gdr(router, PPK_nic_out);
+        if (nic == NULL ||
+            pp_trace(trace, PPK_packet_deliver, 2, gdr(nic, PPK_name),
+                     packet) < 0)
+            return NULL;
+    }
     pool = gdr(router, PPK_packet_pool);
     if (pool == NULL)
         return NULL;
@@ -4484,15 +4513,25 @@ pp_gen_schedule(PPCtx *ctx, PyObject *gen, long long delay, int fnkey)
     return rc;
 }
 
-/* TrafficGenerator._emit body: pool acquire + reset inlined, trace known
- * unarmed and pool known present. */
+/* TrafficGenerator._emit body: pool acquire + reset inlined, pool known
+ * present. */
 static int
 pp_gen_emit(PPCtx *ctx, PyObject *gen)
 {
-    PyObject *pool = gdr(gen, PPK_pool);
-    PyObject *freelist, *packet = NULL, *rfw, *res;
+    PyObject *trace = gdr(gen, PPK_trace);
+    PyObject *pool, *freelist, *packet = NULL, *rfw, *res;
     long long sent;
     int t;
+    if (trace == NULL)
+        return -1;
+    if (trace != Py_None) {
+        PyObject *name = gdr(gen, PPK_name);
+        if (name == NULL ||
+            pp_trace(trace, PPK_record, 3, pps.kinds[TK_PKT_INJECT], name,
+                     gdr(gen, PPK_sent)) < 0)
+            return -1;
+    }
+    pool = gdr(gen, PPK_pool);
     if (pool == NULL)
         return -1;
     freelist = slot_get(pool, pps.off_pool_free);
@@ -4632,15 +4671,11 @@ static PyObject *
 pp_gen_tick(PPCtx *ctx, int kind)
 {
     PyObject *gen = ctx->owner;
-    PyObject *trace = gdr(gen, PPK_trace);
-    PyObject *pool;
+    PyObject *pool = gdr(gen, PPK_pool);
     long long gap, minns;
-    if (trace == NULL)
-        return NULL;
-    pool = gdr(gen, PPK_pool);
     if (pool == NULL)
         return NULL;
-    if (trace != Py_None || pool == Py_None)
+    if (pool == Py_None)
         return PyObject_CallOneArg(pps.gen_ticks[kind], gen);
     if (pp_gen_emit(ctx, gen) < 0)
         return NULL;
@@ -4750,13 +4785,8 @@ ppf_gen_gap_over(PyObject *self, PyObject *noarg)
 {
     PPCtx *ctx = (PPCtx *)self;
     PyObject *gen = ctx->owner;
-    PyObject *trace = gdr(gen, PPK_trace);
     long long minns;
     (void)noarg;
-    if (trace == NULL)
-        return NULL;
-    if (trace != Py_None)
-        return PyObject_CallOneArg(pps.gen_gap_over, gen);
     if (gll(gen, PPK_min_interval_ns, &minns) < 0)
         return NULL;
     if (pp_gen_schedule(ctx, gen, minns, PPK__tick) < 0)
@@ -5425,19 +5455,17 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
                 if (pending == -1 && PyErr_Occurred())
                     goto fail;
                 if (pending > 0) {
-                    PyObject *name = gdr(drv, PPK_name), *rec, *r;
-                    if (name == NULL)
+                    PyObject *name = gdr(drv, PPK_name);
+                    PyObject *h = name ? PyLong_FromLongLong(g->handled) : NULL;
+                    PyObject *pn = h ? PyLong_FromLongLong(pending) : NULL;
+                    int rc = pn ? pp_trace(trace, PPK_record, 4,
+                                           pps.kinds[TK_QUOTA_EXHAUST], name,
+                                           h, pn)
+                                : -1;
+                    Py_XDECREF(h);
+                    Py_XDECREF(pn);
+                    if (rc < 0)
                         goto fail;
-                    rec = PyObject_GetAttrString(trace, "record");
-                    if (rec == NULL)
-                        goto fail;
-                    r = PyObject_CallFunction(rec, "OOLL",
-                                              pps.quota_exhaust, name,
-                                              g->handled, pending);
-                    Py_DECREF(rec);
-                    if (r == NULL)
-                        goto fail;
-                    Py_DECREF(r);
                 }
             }
             quota = gdr(drv, PPK_quota);
@@ -5819,17 +5847,16 @@ ppf_irq_done(PyObject *self, PyObject *proc)
     PyObject *trace, *controller, *cpu, *cur, *td, *oc, *r, *iplobj;
     long long eff = 0;
     (void)proc;
-    trace = gdr(line, PPK_trace);
-    if (trace == NULL)
-        return NULL;
     controller = gdr(line, PPK_controller);
     if (controller == NULL)
         return NULL;
-    if (trace != Py_None)
-        /* Late-armed trace: the Python body records IRQ_RETURN. */
-        return PyObject_CallFunctionObjArgs(pps.ctrl_handler_done,
-                                            controller, line, NULL);
     if (sd(line, PPK_in_service, Py_False) < 0)
+        return NULL;
+    trace = gdr(line, PPK_trace);
+    if (trace == NULL ||
+        (trace != Py_None &&
+         pp_trace(trace, PPK_record, 2, pps.kinds[TK_IRQ_RETURN],
+                  gdr(line, PPK_name)) < 0))
         return NULL;
     td = PyObject_GetAttr(controller, pp_keys[PPK_try_deliver]);
     if (td == NULL)
@@ -5883,18 +5910,13 @@ ppf_ctrl_try_deliver(PyObject *self, PyObject *line)
     PyTypeObject *tt;
     long long eff = 0, dc;
     int t;
-    trace = gdr(line, PPK_trace);
-    if (trace == NULL)
-        return NULL;
     protoobj = gd(line, PPK__pp_irq);
     if (protoobj == NULL && PyErr_Occurred())
         return NULL;
-    if (trace != Py_None || protoobj == NULL ||
-        Py_TYPE(protoobj) != &PPIrq_Type)
-        /* Armed trace, or a line without a ported handler (softnet,
-         * clock, custom): the Python method handles it, and any task
-         * it creates still gets a compiled deliver via the wrapped
-         * cpu.task. */
+    if (protoobj == NULL || Py_TYPE(protoobj) != &PPIrq_Type)
+        /* A line without a ported handler (softnet, hybrid, custom):
+         * the Python method handles it, and any task it creates still
+         * gets a compiled deliver via the wrapped cpu.task. */
         return PyObject_CallFunctionObjArgs(pps.ctrl_try_deliver,
                                             controller, line, NULL);
     p = (PPIrq *)protoobj;
@@ -5936,8 +5958,18 @@ ppf_ctrl_try_deliver(PyObject *self, PyObject *line)
     if (gll(line, PPK_dispatch_count, &dc) < 0 ||
         sll(line, PPK_dispatch_count, dc + 1) < 0)
         return NULL;
-    /* line.trace is None here, so no IRQ_DISPATCH record. Build the
-     * handler CpuTask: same attributes CpuTask.__init__ would set. */
+    trace = gdr(line, PPK_trace);
+    if (trace == NULL)
+        return NULL;
+    if (trace != Py_None) {
+        PyObject *name = gdr(line, PPK_name);
+        if (name == NULL ||
+            pp_trace(trace, PPK_record, 3, pps.kinds[TK_IRQ_DISPATCH], name,
+                     gdr(line, PPK_ipl)) < 0)
+            return NULL;
+    }
+    /* Build the handler CpuTask: same attributes CpuTask.__init__ would
+     * set. */
     gen = ppgen_new(p);
     if (gen == NULL)
         return NULL;

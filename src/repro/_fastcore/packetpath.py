@@ -15,14 +15,14 @@ controller in ``kernel.controllers`` and each line in
 core through ``task.cpu`` or ``line.controller.cpu`` — never a global.
 A single-core machine is simply the one-element case (DESIGN.md §14).
 
-Escape seams (DESIGN.md §13): the fast path is only installed
-on the ``fast-c`` backend and is torn back out — by
-:func:`uninstall` — the moment a trace buffer, fault injector, or
-passive monitor attaches. Entry points that can outlive the teardown
-(pending completion events, per-task ``deliver`` bindings) delegate to
-the Python methods whenever ``trace`` is armed on their object, so a
-late ``attach_trace`` still observes every event. The sanitizer forces
-the pure backend one layer up and never sees any of this.
+Escape seams (DESIGN.md §13): the fast path is only installed on the
+``fast-c`` backend, and only a passive monitor tears it back out (by
+:func:`uninstall`). Observers stay compiled: a C body reads ``trace``
+where its Python twin does and calls the armed buffer's own record
+path, so traced trials emit the pure backend's record stream; an armed
+fault injector makes each consulting body hand that one call to its
+Python method. The sanitizer forces the pure backend one layer up and
+never sees any of this.
 
 Everything here degrades to a no-op when the C extension is absent or
 the simulator is not the compiled flavour.
@@ -115,11 +115,11 @@ def install(router) -> bool:
 def install_started(router) -> bool:
     """Bind the per-packet pipeline at the end of ``Router.start``.
 
-    Gated on no armed faults (``arm_faults`` runs before ``start`` and
-    already uninstalled the engine bindings in that case).
+    Whatever faults are armed; declines only when :func:`install` did not
+    run or a monitor already uninstalled the engine bindings.
     """
     state = router.__dict__.get(_PP_STATE)
-    if state is None or router.faults is not None or router.trace is not None:
+    if state is None:
         return False
     sim = router.sim
     if not available(sim):
@@ -237,11 +237,11 @@ def install_started(router) -> bool:
 def bind_generator(gen) -> bool:
     """Hook for ``TrafficGenerator.start``: compiled tick bodies attach
     only when the generator feeds an installed NIC directly (no faulty
-    wire in between, no armed trace, pooled allocation)."""
+    wire in between, pooled allocation)."""
     fc = _fastcore_type()
     if fc is None or type(gen.sim) is not fc:
         return False
-    if gen.wire is not None or gen.trace is not None or gen.pool is None:
+    if gen.wire is not None or gen.pool is None:
         return False
     nic = gen.nic
     # The compiled rx entry in the NIC's instance dict doubles as the
@@ -273,8 +273,8 @@ def uninstall(router) -> None:
     """Remove every binding; the Python class methods take over.
 
     Safe to call repeatedly or when :func:`install` never ran. Residual
-    C entry points held by in-flight events delegate to Python when a
-    trace is armed, so teardown-then-attach_trace stays exact.
+    C entry points held by in-flight events keep running the same
+    bodies, trace records included, so they stay exact.
     """
     state = router.__dict__.pop(_PP_STATE, None)
     if state is None:

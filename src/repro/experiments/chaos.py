@@ -5,7 +5,8 @@ changes. This module probes everything that matrix does not: it fuzzes
 reproducible trial cases — kernel variant x workload (including the
 adversarial generators) x rate x machine (core count, IRQ steering,
 isolated polling cores) x a randomly generated
-:class:`~repro.faults.FaultPlan` — and runs each case three ways:
+:class:`~repro.faults.FaultPlan` x trace ring on or off — and runs each
+case three ways:
 
 1. **reference**: pure backend with the invariant sanitizer attached
    and end-of-trial teardown reconciliation (catches ownership leaks,
@@ -91,6 +92,8 @@ class ChaosCase:
     attack_rate_pps: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     machine: Optional[MachineSpec] = None
+    #: Arm the trace ring (the result then carries the timeline).
+    trace: bool = False
 
     def describe(self) -> str:
         bits = [
@@ -119,6 +122,8 @@ class ChaosCase:
                     "/isolate" if machine.isolate_polling else "",
                 )
             )
+        if self.trace:
+            bits.append("trace")
         return " ".join(bits)
 
 
@@ -201,6 +206,8 @@ def fuzz_case(seed: int, index: int) -> ChaosCase:
         attack_rate_pps=attack_rate,
         fault_plan=plan,
         machine=fuzz_machine(rng),
+        # Drawn last, so every earlier field of (seed, index) is unchanged.
+        trace=rng.random() < 0.5,
     )
 
 
@@ -238,6 +245,7 @@ def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
         sanitize=sanitize,
         backend=backend,
         machine=case.machine,
+        trace=case.trace,
     )
 
 

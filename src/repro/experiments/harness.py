@@ -250,8 +250,9 @@ def run_trial(
 
     ``machine`` (a :class:`~repro.hw.machine.MachineSpec`) selects the
     core topology; None is the paper's single-core machine. The
-    compiled fast path binds every core, so ``backend="fast"`` runs
-    compiled bodies at any core count.
+    compiled fast path binds every core and stays installed with a trace
+    or fault plan armed, so ``backend="fast"`` runs compiled bodies at
+    any core count, observed or not.
     """
     if isinstance(config, TrialSpec):
         if rate_pps is not None:

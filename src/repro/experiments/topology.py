@@ -187,8 +187,10 @@ class Router:
         self._started = False
         self._teardown_report: Optional[dict] = None
         # Compiled per-packet fast path (no-op off the fast-c backend).
-        # Arming faults, a trace, or a monitor tears it back out; the
-        # sanitizer never sees it because it forces the pure backend.
+        # Traces and faults keep it (the C bodies record in place and
+        # hand fault decisions to Python); only a monitor tears it back
+        # out, and the sanitizer never sees it because it forces the
+        # pure backend.
         packetpath.install(self)
 
     # ------------------------------------------------------------------
@@ -371,7 +373,6 @@ class Router:
 
         if self.faults is not None:
             raise RuntimeError("faults already armed on this router")
-        packetpath.uninstall(self)
         injector = FaultInjector(plan, self.sim, self.probes)
         injector.arm(self)
         self.faults = injector
@@ -422,7 +423,6 @@ class Router:
             raise RuntimeError("attach_trace requires a started router")
         if self.trace is not None:
             raise RuntimeError("trace already attached to this router")
-        packetpath.uninstall(self)
         buffer.bind(self.sim)
         self.trace = buffer
         self.nic_in.trace = buffer

@@ -18,7 +18,11 @@ Cost model (the same discipline as the fault seams, ``repro.faults``):
   as a ring — tracing a trial never grows memory with trial length.
   Each record is a 5-tuple ``(t_ns, kind, site_id, a, b)``; site names
   (queue/line/interface names, inhibit reasons, task names) are interned
-  to small integers on first use.
+  to small integers on first use. :meth:`TraceBuffer.record` is the one
+  record path of both backends — the compiled packet path calls it from
+  its C bodies — and it also folds the record into the attached
+  :class:`~repro.trace.timeline.Timeline`, so an armed hook costs one
+  call.
 
 Tracing schedules **no simulator events** and draws **no randomness**,
 so a traced trial's event stream — and therefore every TrialResult
@@ -89,13 +93,37 @@ KIND_NAMES = {
 }
 
 
+#: kind -> the per-window :class:`~repro.trace.timeline.Timeline`
+#: counter it bumps. Kinds absent here have no windowed series, except
+#: CPU_ACCOUNT, which folds into ``cpu_ns`` by IPL. Mitigation
+#: escalations fold into the inhibit series: both are the kernel
+#: throttling its own input side.
+_SERIES_OF = {
+    PKT_INJECT: "inject",
+    PKT_DELIVER: "deliver",
+    RX_OVERFLOW: "rx_overflow",
+    Q_DROP: "queue_drops",
+    QUOTA_EXHAUST: "quota_exhausted",
+    INPUT_INHIBIT: "inhibits",
+    CYCLE_LIMIT: "inhibits",
+    MITIGATE_UP: "inhibits",
+    INPUT_ALLOW: "allows",
+    FEEDBACK_TIMEOUT: "allows",
+    CYCLE_RESET: "allows",
+    MITIGATE_DOWN: "allows",
+    IRQ_DISPATCH: "irq_dispatch",
+}
+#: The same table indexed by kind (the record path's lookup).
+SERIES = tuple(_SERIES_OF.get(kind) for kind in range(len(KIND_NAMES) + 1))
+
+
 class TraceBuffer:
     """Preallocated ring of ``(t_ns, kind, site_id, a, b)`` records.
 
     The buffer is bound to a simulator clock (``bind``) when the router
     attaches it; components then call :meth:`record` from their hooks.
     An optional :class:`~repro.trace.timeline.Timeline` attached via
-    :meth:`attach_timeline` is fed every record *before* ring overwrite,
+    :meth:`attach_timeline` folds every record *before* ring overwrite,
     so windowed aggregates stay exact over the whole trial even when the
     ring only retains the tail.
     """
@@ -126,8 +154,7 @@ class TraceBuffer:
         return self
 
     def attach_timeline(self, timeline) -> "TraceBuffer":
-        """Feed every subsequent record to ``timeline`` as well."""
-        timeline._bind_sites(self._site_names)
+        """Fold every subsequent record into ``timeline`` as well."""
         self._timeline = timeline
         return self
 
@@ -140,22 +167,41 @@ class TraceBuffer:
     # ------------------------------------------------------------------
 
     def record(self, kind: int, site: str, a: int = 0, b: int = 0) -> None:
-        """Append one record; overwrites the oldest once full."""
+        """Append one record, overwriting the oldest once full, and fold
+        it into the timeline's window (the one implementation of the
+        fold; see :mod:`repro.trace.timeline` for the series)."""
         sites = self._sites
         sid = sites.get(site)
         if sid is None:
-            sid = len(sites)
-            sites[site] = sid
+            sid = sites[site] = len(sites)
             self._site_names.append(site)
-        rec = (self._sim.now, kind, sid, a, b)
+        t = self._sim.now
         index = self._next
-        self._ring[index] = rec
+        self._ring[index] = (t, kind, sid, a, b)
         index += 1
         self._next = 0 if index == self.capacity else index
         self.recorded += 1
         timeline = self._timeline
-        if timeline is not None:
-            timeline.feed(rec)
+        if timeline is None:
+            return
+        index = t // timeline.window_ns
+        if index == timeline._current_index:
+            window = timeline._current
+        else:
+            window = timeline._open(index)
+        series = SERIES[kind]
+        if series is None:
+            if kind == CPU_ACCOUNT:
+                ipl = str(b)
+                cpu = window["cpu_ns"]
+                cpu[ipl] = cpu.get(ipl, 0) + a
+            return
+        window[series] += 1
+        if kind == PKT_DELIVER:
+            window["latency_ns_sum"] += a
+        elif kind == Q_DROP or kind == RX_OVERFLOW:
+            drops = window["drops"]
+            drops[site] = drops.get(site, 0) + 1
 
     def packet_drop(self, kind: int, site: str, packet) -> None:
         """Record a drop, linking packet age (latency-to-drop) when the

@@ -4,9 +4,12 @@
 stream into fixed windows of simulated time — the per-window series the
 paper's figures are secretly made of: input and output packet counts,
 drops by site, CPU nanoseconds by IPL, quota exhaustions, and
-feedback/cycle-limit state flips. The aggregator is fed incrementally
-(record by record, before ring overwrite), so its numbers are exact over
-the whole trial even when the ring only retains the tail.
+feedback/cycle-limit state flips. The fold runs inside
+:meth:`TraceBuffer.record <repro.trace.buffer.TraceBuffer.record>`,
+record by record and before ring overwrite, so its numbers are exact
+over the whole trial even when the ring only retains the tail; which
+kind feeds which series is :data:`repro.trace.buffer.SERIES`. Only the
+windows are kept: cumulative ``totals`` are summed from them when read.
 
 Window-edge semantics (shared with ``ProbeRegistry.dump()``): a record
 with timestamp ``t`` lands in window ``t // window_ns``, i.e. windows
@@ -27,23 +30,6 @@ the TrialResult scalars (``delivered``, ``generated``) and, after
 from __future__ import annotations
 
 from typing import Dict, List, Optional
-
-from .buffer import (
-    CPU_ACCOUNT,
-    CYCLE_LIMIT,
-    CYCLE_RESET,
-    FEEDBACK_TIMEOUT,
-    INPUT_ALLOW,
-    INPUT_INHIBIT,
-    IRQ_DISPATCH,
-    MITIGATE_DOWN,
-    MITIGATE_UP,
-    PKT_DELIVER,
-    PKT_INJECT,
-    Q_DROP,
-    QUOTA_EXHAUST,
-    RX_OVERFLOW,
-)
 
 #: Per-window integer counter keys, in serialization order.
 _WINDOW_COUNTS = (
@@ -81,89 +67,41 @@ class Timeline:
         self._windows: Dict[int, Dict] = {}
         self._current: Optional[Dict] = None
         self._current_index = -1
-        self.totals = _new_window()
         self.marks: Dict[str, Dict] = {}
-        self._site_names: List[str] = []
 
-    def _bind_sites(self, site_names: List[str]) -> None:
-        """Share the buffer's live site-id table (called by
-        ``TraceBuffer.attach_timeline``)."""
-        self._site_names = site_names
+    def _open(self, index: int) -> Dict:
+        """Make window ``index`` the one records fold into (the trace
+        buffer calls this when a record crosses a window edge)."""
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = _new_window()
+        self._current = window
+        self._current_index = index
+        return window
 
-    # ------------------------------------------------------------------
-    # Feed path (armed trials only)
-    # ------------------------------------------------------------------
-
-    def feed(self, rec) -> None:
-        """Fold one ``(t_ns, kind, site_id, a, b)`` record in."""
-        t, kind, sid, a, _b = rec
-        index = t // self.window_ns
-        if index != self._current_index:
-            window = self._windows.get(index)
-            if window is None:
-                window = _new_window()
-                self._windows[index] = window
-            self._current = window
-            self._current_index = index
-        window = self._current
-        totals = self.totals
-        if kind == PKT_INJECT:
-            window["inject"] += 1
-            totals["inject"] += 1
-        elif kind == PKT_DELIVER:
-            window["deliver"] += 1
-            window["latency_ns_sum"] += a
-            totals["deliver"] += 1
-            totals["latency_ns_sum"] += a
-        elif kind == CPU_ACCOUNT:
-            ipl = str(rec[4])
-            cpu = window["cpu_ns"]
-            cpu[ipl] = cpu.get(ipl, 0) + a
-            cpu = totals["cpu_ns"]
-            cpu[ipl] = cpu.get(ipl, 0) + a
-        elif kind == IRQ_DISPATCH:
-            window["irq_dispatch"] += 1
-            totals["irq_dispatch"] += 1
-        elif kind == Q_DROP:
-            site = self._site_names[sid]
-            window["queue_drops"] += 1
-            totals["queue_drops"] += 1
-            drops = window["drops"]
-            drops[site] = drops.get(site, 0) + 1
-            drops = totals["drops"]
-            drops[site] = drops.get(site, 0) + 1
-        elif kind == RX_OVERFLOW:
-            site = self._site_names[sid]
-            window["rx_overflow"] += 1
-            totals["rx_overflow"] += 1
-            drops = window["drops"]
-            drops[site] = drops.get(site, 0) + 1
-            drops = totals["drops"]
-            drops[site] = drops.get(site, 0) + 1
-        elif kind == QUOTA_EXHAUST:
-            window["quota_exhausted"] += 1
-            totals["quota_exhausted"] += 1
-        elif kind in (INPUT_INHIBIT, CYCLE_LIMIT, MITIGATE_UP):
-            # Mitigation escalations fold into the inhibit series: both
-            # are the kernel throttling its own input side.
-            window["inhibits"] += 1
-            totals["inhibits"] += 1
-        elif kind in (INPUT_ALLOW, FEEDBACK_TIMEOUT, CYCLE_RESET, MITIGATE_DOWN):
-            window["allows"] += 1
-            totals["allows"] += 1
-        # Remaining kinds (cpu_run, rx_accept, q_enqueue, ...) shape the
-        # raw stream but have no windowed series.
+    @property
+    def totals(self) -> Dict:
+        """Cumulative totals: every window so far, summed in time order
+        (so ``drops``/``cpu_ns`` keep first-occurrence key order)."""
+        totals = _new_window()
+        drops = totals["drops"]
+        cpu = totals["cpu_ns"]
+        for index in sorted(self._windows):
+            window = self._windows[index]
+            for key in _WINDOW_COUNTS:
+                totals[key] += window[key]
+            totals["latency_ns_sum"] += window["latency_ns_sum"]
+            for site, count in window["drops"].items():
+                drops[site] = drops.get(site, 0) + count
+            for ipl, ns in window["cpu_ns"].items():
+                cpu[ipl] = cpu.get(ipl, 0) + ns
+        return totals
 
     def mark(self, name: str, t_ns: int) -> None:
         """Snapshot cumulative totals at an instant (warmup boundary,
         measurement end). Snapshot-vs-window agreement is the documented
         edge semantics above."""
-        totals = self.totals
-        snapshot = {key: totals[key] for key in _WINDOW_COUNTS}
-        snapshot["latency_ns_sum"] = totals["latency_ns_sum"]
-        snapshot["drops"] = dict(totals["drops"])
-        snapshot["cpu_ns"] = dict(totals["cpu_ns"])
-        self.marks[name] = {"t_ns": t_ns, "totals": snapshot}
+        self.marks[name] = {"t_ns": t_ns, "totals": self.totals}
 
     # ------------------------------------------------------------------
     # Read side
@@ -189,10 +127,7 @@ class Timeline:
         return {
             "window_ns": self.window_ns,
             "windows": self.windows(),
-            "totals": {
-                key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in self.totals.items()
-            },
+            "totals": self.totals,
             "marks": {
                 name: {"t_ns": mark["t_ns"], "totals": dict(mark["totals"])}
                 for name, mark in self.marks.items()

@@ -4,11 +4,12 @@
 contract is that for any spec the fast backend produces byte-for-byte
 the same :class:`TrialResult` as the pure-python simulator — same
 firing order, same RNG draw order, same counters, drops, latency
-percentiles, fault reports, and timelines. These tests sweep that
-contract across the full driver x fault-plan x trace x machine matrix
-(the multi-core machine runs the compiled path on every core), pin a
-slice of the golden fixture to the fast backend explicitly, and prove
-the cache fingerprint never depends on which core ran.
+percentiles, fault reports, timelines, and the raw trace record stream.
+These tests sweep that contract across the full driver x fault-plan x
+trace x machine matrix (the multi-core machine runs the compiled path on
+every core, and traced or faulted trials stay compiled), pin a slice of
+the golden fixture to the fast backend explicitly, and prove the cache
+fingerprint never depends on which core ran.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.experiments.results import trial_to_dict
 from repro.hw.machine import STEERING_RSS, MachineSpec
 from repro.sim.backend import make_simulator, resolve_backend
 from repro.sim.simulator import Simulator
+from repro.trace.buffer import TraceBuffer
 
 DRIVERS = {
     "unmodified": variants.unmodified,
@@ -62,15 +64,19 @@ def _canonical_bytes(result) -> bytes:
 
 
 def _run(driver, plan, trace, machine, backend):
+    """One matrix cell; a traced cell also returns its caller-owned
+    ring, so the raw record stream can be compared."""
     kwargs = dict(
         TIMING, seed=3, workload="bursty", machine=machine, backend=backend
     )
+    ring = TraceBuffer() if trace else None
     if plan is not None:
         kwargs["fault_plan"] = plan
         kwargs["watchdog"] = True
     if trace:
-        kwargs["trace"] = True
-    return run_trial(TrialSpec.from_kwargs(DRIVERS[driver](), 9_000, **kwargs))
+        kwargs["trace"] = ring
+    spec = TrialSpec.from_kwargs(DRIVERS[driver](), 9_000, **kwargs)
+    return run_trial(spec), ring
 
 
 @pytest.mark.parametrize(
@@ -82,12 +88,15 @@ def _run(driver, plan, trace, machine, backend):
     ],
 )
 def test_fast_backend_is_bit_identical(driver, plan, trace, machine):
-    pure = _run(driver, plan, trace, machine, backend="pure")
-    fast = _run(driver, plan, trace, machine, backend="fast")
+    pure, pure_ring = _run(driver, plan, trace, machine, backend="pure")
+    fast, fast_ring = _run(driver, plan, trace, machine, backend="fast")
     assert pure.backend == "pure"
     assert fast.backend == FASTCORE_KIND
     assert fast.backend.startswith("fast-")
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
+    if trace:
+        assert fast_ring.site_names == pure_ring.site_names
+        assert fast_ring.records() == pure_ring.records()
 
 
 GOLDEN_SLICE = [
@@ -215,6 +224,39 @@ def test_teardown_leak_accounting_on_fast_backend():
         assert report["leaked"] == 0, (backend, report)
         reports[backend] = report
     assert reports["pure"] == reports["fast"]
+
+
+def test_traced_faulted_trial_stays_compiled():
+    """Arming a trace ring, the watchdog and a fault plan leaves the
+    compiled packet path installed on a fast-c router: the C bodies
+    record in place and hand fault decisions to Python, and the trial
+    still equals the pure oracle bit for bit."""
+    from repro.experiments.topology import Router
+
+    spec = TrialSpec(
+        variants.unmodified(),
+        9_000,
+        seed=3,
+        workload="poisson",
+        fault_plan="lossy-nic",
+        watchdog=True,
+        trace=True,
+        **TIMING,
+    )
+    pure = run_trial(spec.replace(backend="pure"))
+    router = Router(spec.config, sim=make_simulator("fast"))
+    fast = run_trial(spec.replace(backend="fast"), router=router)
+    if FASTCORE_KIND == "fast-c":
+        for nic in (router.nic_in, router.nic_out):
+            assert "receive_from_wire" in nic.__dict__, nic.name
+            assert "_transmit_complete" in nic.__dict__, nic.name
+        for cpu in router.kernel.cpus:
+            assert "task" in cpu.__dict__, cpu.name
+            assert "_complete" in cpu.__dict__, cpu.name
+        for controller in router.kernel.controllers:
+            assert "try_deliver" in controller.__dict__, controller.cpu.name
+    assert pure.faults["injected"]
+    assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
 def test_backend_never_enters_fingerprint():

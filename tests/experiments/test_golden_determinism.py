@@ -16,6 +16,7 @@ with ``scripts/gen_golden_trials.py`` and say why in the commit.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from dataclasses import asdict
@@ -250,3 +251,39 @@ def test_legacy_generators_match_golden(monkeypatch, variant, workload):
     ))
     golden = GOLDEN["%s|%s|%d|%d" % (variant, workload, 12_000, 0)]
     assert _comparable(result) == golden
+
+
+# ----------------------------------------------------------------------
+# Traced cells: hybrid and cores=4 RSS-isolated trials with a caller-owned
+# trace ring, generated from the pure oracle (``gen_golden_trials.py
+# --traced``). Both backends must reproduce the whole trial, timeline
+# included, and the raw record stream.
+# ----------------------------------------------------------------------
+
+
+def _load_generator():
+    path = Path(__file__).resolve().parents[2] / "scripts" / "gen_golden_trials.py"
+    spec = importlib.util.spec_from_file_location("gen_golden_trials", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATOR = _load_generator()
+GOLDEN_TRACED = json.loads(GENERATOR.TRACED_OUTPUT.read_text())
+
+
+def test_traced_fixture_covers_its_cells():
+    assert set(GOLDEN_TRACED) == {
+        GENERATOR.traced_cell(*row)[0] for row in GENERATOR.TRACED_CELLS
+    }
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+@pytest.mark.parametrize("key", sorted(GOLDEN_TRACED))
+def test_traced_trial_matches_golden(key, backend):
+    golden = GOLDEN_TRACED[key]
+    trial, buffer = GENERATOR.run_traced(golden["cell"], backend=backend)
+    assert trial == golden["trial"]
+    assert buffer.recorded == golden["recorded"]
+    assert GENERATOR.records_digest(buffer) == golden["records_sha256"]
