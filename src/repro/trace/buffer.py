@@ -93,30 +93,6 @@ KIND_NAMES = {
 }
 
 
-#: kind -> the per-window :class:`~repro.trace.timeline.Timeline`
-#: counter it bumps. Kinds absent here have no windowed series, except
-#: CPU_ACCOUNT, which folds into ``cpu_ns`` by IPL. Mitigation
-#: escalations fold into the inhibit series: both are the kernel
-#: throttling its own input side.
-_SERIES_OF = {
-    PKT_INJECT: "inject",
-    PKT_DELIVER: "deliver",
-    RX_OVERFLOW: "rx_overflow",
-    Q_DROP: "queue_drops",
-    QUOTA_EXHAUST: "quota_exhausted",
-    INPUT_INHIBIT: "inhibits",
-    CYCLE_LIMIT: "inhibits",
-    MITIGATE_UP: "inhibits",
-    INPUT_ALLOW: "allows",
-    FEEDBACK_TIMEOUT: "allows",
-    CYCLE_RESET: "allows",
-    MITIGATE_DOWN: "allows",
-    IRQ_DISPATCH: "irq_dispatch",
-}
-#: The same table indexed by kind (the record path's lookup).
-SERIES = tuple(_SERIES_OF.get(kind) for kind in range(len(KIND_NAMES) + 1))
-
-
 class TraceBuffer:
     """Preallocated ring of ``(t_ns, kind, site_id, a, b)`` records.
 
@@ -143,6 +119,7 @@ class TraceBuffer:
         self._site_names: List[str] = []
         self._sim = sim
         self._timeline = None
+        self._series = None
 
     # ------------------------------------------------------------------
 
@@ -156,6 +133,9 @@ class TraceBuffer:
     def attach_timeline(self, timeline) -> "TraceBuffer":
         """Fold every subsequent record into ``timeline`` as well."""
         self._timeline = timeline
+        # Kept on the buffer: record() reads it per record, and an
+        # instance attribute is a cheaper lookup than a class attribute.
+        self._series = timeline.SERIES
         return self
 
     @property
@@ -185,11 +165,11 @@ class TraceBuffer:
         if timeline is None:
             return
         index = t // timeline.window_ns
-        if index == timeline._current_index:
-            window = timeline._current
+        if index == timeline.current_index:
+            window = timeline.current
         else:
-            window = timeline._open(index)
-        series = SERIES[kind]
+            window = timeline.open_window(index)
+        series = self._series[kind]
         if series is None:
             if kind == CPU_ACCOUNT:
                 ipl = str(b)

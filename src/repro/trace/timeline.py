@@ -8,8 +8,8 @@ feedback/cycle-limit state flips. The fold runs inside
 :meth:`TraceBuffer.record <repro.trace.buffer.TraceBuffer.record>`,
 record by record and before ring overwrite, so its numbers are exact
 over the whole trial even when the ring only retains the tail; which
-kind feeds which series is :data:`repro.trace.buffer.SERIES`. Only the
-windows are kept: cumulative ``totals`` are summed from them when read.
+kind feeds which series is :attr:`Timeline.SERIES`. Only the windows
+are kept: cumulative ``totals`` are summed from them when read.
 
 Window-edge semantics (shared with ``ProbeRegistry.dump()``): a record
 with timestamp ``t`` lands in window ``t // window_ns``, i.e. windows
@@ -31,17 +31,45 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-#: Per-window integer counter keys, in serialization order.
-_WINDOW_COUNTS = (
-    "inject",
-    "deliver",
-    "rx_overflow",
-    "queue_drops",
-    "quota_exhausted",
-    "inhibits",
-    "allows",
-    "irq_dispatch",
+from .buffer import (
+    CYCLE_LIMIT,
+    CYCLE_RESET,
+    FEEDBACK_TIMEOUT,
+    INPUT_ALLOW,
+    INPUT_INHIBIT,
+    IRQ_DISPATCH,
+    KIND_NAMES,
+    MITIGATE_DOWN,
+    MITIGATE_UP,
+    PKT_DELIVER,
+    PKT_INJECT,
+    Q_DROP,
+    QUOTA_EXHAUST,
+    RX_OVERFLOW,
 )
+
+#: Per-window integer counter keys, in serialization order, each with
+#: the record kinds that bump it. Mitigation escalations fold into the
+#: inhibit series: both are the kernel throttling its own input side.
+_COUNTED_KINDS = {
+    "inject": (PKT_INJECT,),
+    "deliver": (PKT_DELIVER,),
+    "rx_overflow": (RX_OVERFLOW,),
+    "queue_drops": (Q_DROP,),
+    "quota_exhausted": (QUOTA_EXHAUST,),
+    "inhibits": (INPUT_INHIBIT, CYCLE_LIMIT, MITIGATE_UP),
+    "allows": (INPUT_ALLOW, FEEDBACK_TIMEOUT, CYCLE_RESET, MITIGATE_DOWN),
+    "irq_dispatch": (IRQ_DISPATCH,),
+}
+_WINDOW_COUNTS = tuple(_COUNTED_KINDS)
+
+
+def _series_by_kind():
+    series = [None] * (max(KIND_NAMES) + 1)
+    for key, kinds in _COUNTED_KINDS.items():
+        for kind in kinds:
+            series[kind] = key
+    return tuple(series)
 
 
 def _new_window() -> Dict:
@@ -58,25 +86,35 @@ class Timeline:
     ``window_ns`` is typically the watchdog window
     (``config.watchdog_window_ticks * config.clock_tick_ns``) so the
     timeline lines up with watchdog verdict windows.
+
+    The fold itself runs inside ``TraceBuffer.record`` (one call per
+    record): it adds to :attr:`current`, the window numbered
+    :attr:`current_index`, calls :meth:`open_window` when a record
+    crosses a window edge, and looks up which counter a kind bumps in
+    :attr:`SERIES`.
     """
+
+    #: kind -> the per-window counter it bumps, indexed by kind. ``None``
+    #: means no counter: CPU_ACCOUNT folds into ``cpu_ns`` by IPL, and
+    #: the other kinds only open their window.
+    SERIES = _series_by_kind()
 
     def __init__(self, window_ns: int) -> None:
         if window_ns <= 0:
             raise ValueError("timeline window must be positive")
         self.window_ns = window_ns
         self._windows: Dict[int, Dict] = {}
-        self._current: Optional[Dict] = None
-        self._current_index = -1
+        self.current: Optional[Dict] = None
+        self.current_index = -1
         self.marks: Dict[str, Dict] = {}
 
-    def _open(self, index: int) -> Dict:
-        """Make window ``index`` the one records fold into (the trace
-        buffer calls this when a record crosses a window edge)."""
+    def open_window(self, index: int) -> Dict:
+        """Make window ``index`` the one records fold into."""
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _new_window()
-        self._current = window
-        self._current_index = index
+        self.current = window
+        self.current_index = index
         return window
 
     @property

@@ -255,9 +255,9 @@ def test_legacy_generators_match_golden(monkeypatch, variant, workload):
 
 # ----------------------------------------------------------------------
 # Traced cells: hybrid and cores=4 RSS-isolated trials with a caller-owned
-# trace ring, generated from the pure oracle (``gen_golden_trials.py
-# --traced``). Both backends must reproduce the whole trial, timeline
-# included, and the raw record stream.
+# trace ring, generated from the pure oracle (``gen_golden_trials.py``
+# writes both fixtures). Both backends must reproduce the whole trial,
+# timeline included, and the raw record stream.
 # ----------------------------------------------------------------------
 
 

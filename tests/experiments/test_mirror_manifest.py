@@ -1,8 +1,10 @@
 """Mirror manifest: the Python bodies ``_corec.c`` replays, pinned.
 
 Much of ``repro/_fastcore/_corec.c`` replays Python methods step for
-step — the CPU engine, NIC rings, queues, IP forwarding, the driver IRQ
-handlers, the generators, and the trace hooks inside all of them. The
+step — the simulator's event loop (scheduling, cancellation, the timing
+wheel and the generated drain loop), the CPU engine, NIC rings, queues,
+IP forwarding, the driver IRQ handlers, the generators, and the trace
+hooks inside all of them. The
 parity matrix only notices an edit to one of those bodies when some
 cell happens to reach the change; this test notices every edit. It pins
 a normalized hash of each mirrored function (its syntax tree, without
@@ -29,6 +31,21 @@ MANIFEST = Path(__file__).with_name("mirror_manifest.json")
 #: ``module: [qualified names]`` of every Python function the C core
 #: replays (properties by their getter).
 MIRRORED = {
+    "repro.sim.events": ["Event._rearm", "EventSlab.release"],
+    "repro.sim.simulator": [
+        "PeriodicEvent.cancel",
+        "Simulator.schedule",
+        "Simulator.schedule_at",
+        "Simulator.schedule_periodic",
+        "Simulator.cancel",
+        "Simulator._compact",
+        "Simulator._advance",
+        "Simulator.step",
+        "Simulator.peek_time",
+        "Simulator.run",
+        "Simulator.stats",
+    ],
+    "repro.sim._drain": ["drain_plain"],
     "repro.sim.units": ["cycles_to_ns", "ns_to_cycles"],
     "repro.sim.probes": ["Counter.increment"],
     "repro.sim.process": [
@@ -146,11 +163,17 @@ def _canonical(node) -> str:
 
 def source_hash(module: str, qualname: str) -> str:
     obj = importlib.import_module(module)
-    for part in qualname.split("."):
-        obj = inspect.getattr_static(obj, part)
-    if isinstance(obj, property):
-        obj = obj.fget
-    tree = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+    if module == "repro.sim._drain":
+        # A drain loop is compiled from a rendered template, so no file
+        # lies behind it; the module keeps the rendered text.
+        source = obj.DRAIN_SOURCES[qualname[len("drain_"):]]
+    else:
+        for part in qualname.split("."):
+            obj = inspect.getattr_static(obj, part)
+        if isinstance(obj, property):
+            obj = obj.fget
+        source = textwrap.dedent(inspect.getsource(obj))
+    tree = ast.parse(source).body[0]
     body = tree.body
     if (
         body
