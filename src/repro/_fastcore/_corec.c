@@ -1450,8 +1450,9 @@ fastcore_repr(FastCoreObject *self)
  * function and bound as an *instance attribute* of the existing Python
  * object (PyCFunction has no __get__, so the instance-dict lookup
  * returns it ready to call). All mutable state stays canonical in the
- * Python objects — instance __dict__ for normal classes, slot storage
- * for __slots__ classes — so compiled and interpreted code can
+ * Python objects — slot storage for __slots__ classes (the engine
+ * classes among them, read by offset: see the accessors below), the
+ * instance __dict__ for the rest — so compiled and interpreted code can
  * interleave freely and results are bit-identical by construction.
  *
  * Observers stay compiled. A body whose Python twin records a trace
@@ -1573,11 +1574,105 @@ enum {
 
 /* ---------------- attribute access helpers ------------------------ */
 
-/* Borrowed instance-dict read; NULL without error when absent. */
+/* Slot (T_OBJECT_EX member) access for __slots__ classes. */
+static inline PyObject *  /* borrowed; NULL when unset (no error) */
+slot_get(PyObject *obj, Py_ssize_t offset)
+{
+    return *(PyObject **)((char *)obj + offset);
+}
+
+static inline void
+slot_set(PyObject *obj, Py_ssize_t offset, PyObject *value) /* steals */
+{
+    PyObject **addr = (PyObject **)((char *)obj + offset);
+    PyObject *old = *addr;
+    *addr = value;
+    Py_XDECREF(old);
+}
+
+/* Offset of the writable object slot ``name`` on ``type``, or 0 when
+ * ``name`` is no such slot (0 is never one: the refcount lives there). */
+static Py_ssize_t
+member_offset(PyTypeObject *type, PyObject *name)
+{
+    PyObject *descr = _PyType_Lookup(type, name);  /* borrowed */
+    PyMemberDef *m;
+    if (descr == NULL || Py_TYPE(descr) != &PyMemberDescr_Type)
+        return 0;
+    m = ((PyMemberDescrObject *)descr)->d_member;
+    return m->type == T_OBJECT_EX && !(m->flags & READONLY) ? m->offset : 0;
+}
+
+static Py_ssize_t
+slot_offset(PyObject *type, const char *name)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    Py_ssize_t off;
+    if (key == NULL)
+        return -1;
+    off = member_offset((PyTypeObject *)type, key);
+    Py_DECREF(key);
+    if (off == 0) {
+        PyErr_Format(PyExc_TypeError,
+                     "packetpath: %s is not a slot member", name);
+        return -1;
+    }
+    return off;
+}
+
+/* The engine classes (Process/CpuTask, CPU, InterruptLine, NIC and the
+ * queues) keep their data in __slots__; their instance __dict__ holds
+ * only the entry points pp_bind shadows methods with. The accessors
+ * below (gd, gdr, sd, gll, sll) therefore resolve each (type, key)
+ * once: a slot member is read and written at its offset, and only a
+ * name that is not a slot goes through the instance dict. Each key
+ * caches up to PP_WAYS types, holding a reference to each so a freed
+ * type's address can never alias a live one. */
+#define PP_WAYS 8
+
+static struct {
+    PyTypeObject *type;
+    Py_ssize_t off;     /* slot offset, or 0: use the instance dict */
+} pp_slot_cache[PPK_COUNT][PP_WAYS];
+
+/* Cache miss: fill the first free way, or replace the last one. */
+static Py_ssize_t
+pp_slot_resolve(PyTypeObject *type, int key)
+{
+    Py_ssize_t off = member_offset(type, pp_keys[key]);
+    PyTypeObject *old;
+    int i = 0;
+    while (i < PP_WAYS - 1 && pp_slot_cache[key][i].type != NULL)
+        i++;
+    old = pp_slot_cache[key][i].type;
+    Py_INCREF(type);
+    pp_slot_cache[key][i].type = type;
+    pp_slot_cache[key][i].off = off;
+    Py_XDECREF(old);  /* last: freeing a type may run Python code */
+    return off;
+}
+
+static inline Py_ssize_t
+pp_slot_off(PyObject *obj, int key)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    int i;
+    for (i = 0; i < PP_WAYS && pp_slot_cache[key][i].type != NULL; i++) {
+        if (pp_slot_cache[key][i].type == type)
+            return pp_slot_cache[key][i].off;
+    }
+    return pp_slot_resolve(type, key);
+}
+
+/* Borrowed attribute read; NULL without error when absent. */
 static inline PyObject *
 gd(PyObject *obj, int key)
 {
-    PyObject **dp = _PyObject_GetDictPtr(obj);
+    Py_ssize_t off = pp_slot_off(obj, key);
+    PyObject **dp;
+    if (off)
+        return slot_get(obj, off);
+    dp = _PyObject_GetDictPtr(obj);
     if (dp != NULL && *dp != NULL)
         return PyDict_GetItemWithError(*dp, pp_keys[key]);
     return NULL;
@@ -1597,7 +1692,14 @@ gdr(PyObject *obj, int key)
 static inline int
 sd(PyObject *obj, int key, PyObject *value)
 {
-    PyObject **dp = _PyObject_GetDictPtr(obj);
+    Py_ssize_t off = pp_slot_off(obj, key);
+    PyObject **dp;
+    if (off) {
+        Py_INCREF(value);
+        slot_set(obj, off, value);
+        return 0;
+    }
+    dp = _PyObject_GetDictPtr(obj);
     if (dp == NULL) {
         PyErr_SetString(PyExc_TypeError, "packetpath: object has no dict");
         return -1;
@@ -1636,40 +1738,6 @@ sll(PyObject *obj, int key, long long value)
     rc = sd(obj, key, v);
     Py_DECREF(v);
     return rc;
-}
-
-/* Slot (T_OBJECT_EX member) access for __slots__ classes. */
-static inline PyObject *  /* borrowed; NULL when unset (no error) */
-slot_get(PyObject *obj, Py_ssize_t offset)
-{
-    return *(PyObject **)((char *)obj + offset);
-}
-
-static inline void
-slot_set(PyObject *obj, Py_ssize_t offset, PyObject *value) /* steals */
-{
-    PyObject **addr = (PyObject **)((char *)obj + offset);
-    PyObject *old = *addr;
-    *addr = value;
-    Py_XDECREF(old);
-}
-
-static Py_ssize_t
-slot_offset(PyObject *type, const char *name)
-{
-    PyObject *descr = PyObject_GetAttrString(type, name);
-    Py_ssize_t off;
-    if (descr == NULL)
-        return -1;
-    if (Py_TYPE(descr) != &PyMemberDescr_Type) {
-        Py_DECREF(descr);
-        PyErr_Format(PyExc_TypeError,
-                     "packetpath: %s is not a slot member", name);
-        return -1;
-    }
-    off = ((PyMemberDescrObject *)descr)->d_member->offset;
-    Py_DECREF(descr);
-    return off;
 }
 
 /* Counter.increment(amount) inlined: value += amount (amount >= 0 at
@@ -2128,14 +2196,40 @@ pp_state_is(PyObject *state, PyObject *expected)
     return PyObject_RichCompareBool(state, expected, Py_EQ) == 1;
 }
 
+/* The context of a compiled deliver binding, or NULL for anything
+ * else (including NULL). */
+static inline PPCtx *
+pp_deliver_ctx(PyObject *dfn)
+{
+    PyObject *self;
+    if (dfn == NULL || Py_TYPE(dfn) != &PyCFunction_Type)
+        return NULL;
+    self = PyCFunction_GET_SELF(dfn);
+    return self != NULL && Py_TYPE(self) == &PPCtx_Type ? (PPCtx *)self
+                                                        : NULL;
+}
+
 /* Process._finish: swap the exit-callback list for a fresh one, then
- * run the detached callbacks in order. */
+ * run the detached callbacks in order.
+ *
+ * Every caller has already set the state to DONE or FAILED, where
+ * deliver is a no-op in both implementations, so the task's compiled
+ * deliver binding is dropped first. The binding holds the task through
+ * its PPCtx: left in place, every finished handler task would be a
+ * reference cycle that only the cyclic GC frees. Whoever called
+ * pp_deliver_impl holds the binding until it returns. */
 static int
 pp_finish(PyObject *proc)
 {
-    PyObject *cbs = gd(proc, PPK__exit_callbacks);
-    PyObject *fresh;
+    PyObject *cbs, *fresh, *dfn = gd(proc, PPK_deliver);
+    PPCtx *bound = pp_deliver_ctx(dfn);
     Py_ssize_t i;
+    if (dfn == NULL && PyErr_Occurred())
+        return -1;
+    if (bound != NULL && bound->owner == proc &&
+        PyDict_DelItem(*_PyObject_GetDictPtr(proc), pp_keys[PPK_deliver]) < 0)
+        return -1;
+    cbs = gd(proc, PPK__exit_callbacks);
     if (cbs == NULL || !PyList_Check(cbs)) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_AttributeError,
@@ -2839,6 +2933,7 @@ pp_complete_impl(PPCtx *ctx, PyObject *task)
     PyObject *cpu = ctx->owner;
     FastCoreObject *sim = ctx->sim;
     PyObject *current, *remaining, *dfn;
+    PPCtx *dctx;
     long long chunk, elapsed, hz, used, busy, was_ipl, cur_eff;
     current = gd(cpu, PPK__current);
     if (current == NULL && PyErr_Occurred())
@@ -2904,13 +2999,15 @@ pp_complete_impl(PPCtx *ctx, PyObject *task)
         return NULL;
     if (gll(task, PPK__eff_ipl, &was_ipl) < 0)
         return NULL;
-    /* task.deliver(None) */
+    /* task.deliver(None); a finishing task drops its binding, so hold
+     * it for the call. */
     dfn = gd(task, PPK_deliver);
-    if (dfn != NULL && Py_TYPE(dfn) == &PyCFunction_Type &&
-        PyCFunction_GET_SELF(dfn) != NULL &&
-        Py_TYPE(PyCFunction_GET_SELF(dfn)) == &PPCtx_Type) {
-        PyObject *res =
-            pp_deliver_impl((PPCtx *)PyCFunction_GET_SELF(dfn), Py_None);
+    dctx = pp_deliver_ctx(dfn);
+    if (dctx != NULL) {
+        PyObject *res;
+        Py_INCREF(dfn);
+        res = pp_deliver_impl(dctx, Py_None);
+        Py_DECREF(dfn);
         if (res == NULL)
             return NULL;
         Py_DECREF(res);

@@ -9,6 +9,15 @@ the instance attribute makes the Python method visible again. All
 mutable state stays in the Python objects, so C and Python execution
 can interleave freely and remain bit-identical.
 
+The engine classes (``Process``/``CpuTask``, ``CPU``, ``InterruptLine``,
+``NIC`` and the queues) keep that state in ``__slots__``, which the C
+bodies read and write at fixed offsets; their instance ``__dict__``
+holds only the entry points bound here. Every task also gets a
+compiled ``deliver``, whose context holds the task; the C port of
+``Process._finish`` drops it once the task has finished, so a finished
+IRQ handler task is freed by refcounting, not left as a reference
+cycle for the collector (DESIGN.md §13).
+
 Every core is bound the same way: each CPU in ``kernel.cpus``, each
 controller in ``kernel.controllers`` and each line in
 ``kernel.irq_lines()`` gets its own entry points, and a C body finds its

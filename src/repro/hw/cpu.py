@@ -73,6 +73,18 @@ class CpuTask(Process):
     ``priority_class`` orders IPL-0 tasks (kernel > user > idle).
     """
 
+    __slots__ = (
+        "cpu",
+        "base_ipl",
+        "spl_level",
+        "priority_class",
+        "cycles_used",
+        "_ready_seq",
+        "_eff_ipl",
+        "_key",
+        "_work_label",
+    )
+
     def __init__(
         self,
         cpu: "CPU",
@@ -131,6 +143,29 @@ class CpuTask(Process):
 
 class CPU:
     """A single CPU executing :class:`CpuTask` work under IPL preemption."""
+
+    # Data lives in slots, which the compiled packet path reads by
+    # offset; ``__dict__`` stays for the entry points it binds there.
+    __slots__ = (
+        "__dict__",
+        "sim",
+        "hz",
+        "name",
+        "index",
+        "context_switch_cycles",
+        "_remaining",
+        "_current",
+        "_completion",
+        "_chunk_started",
+        "_seq",
+        "_last_thread",
+        "busy_ns",
+        "switches",
+        "preemptions",
+        "ipl_observers",
+        "account_observers",
+        "trace",
+    )
 
     def __init__(
         self,

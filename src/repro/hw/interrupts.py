@@ -36,6 +36,26 @@ HandlerFactory = Callable[[], ProcessBody]
 class InterruptLine:
     """One interrupt source attached to an :class:`InterruptController`."""
 
+    # Data lives in slots, which the compiled packet path reads by
+    # offset; ``__dict__`` stays for the entry points it binds there.
+    __slots__ = (
+        "__dict__",
+        "controller",
+        "name",
+        "ipl",
+        "handler_factory",
+        "dispatch_cycles",
+        "_dispatch_work",
+        "enabled",
+        "requested",
+        "in_service",
+        "request_count",
+        "dispatch_count",
+        "suppressed_while_disabled",
+        "faults",
+        "trace",
+    )
+
     def __init__(
         self,
         controller: "InterruptController",

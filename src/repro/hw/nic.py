@@ -48,6 +48,35 @@ from .link import MIN_PACKET_TIME_NS
 class NIC:
     """One network interface with RX and TX rings."""
 
+    # Data lives in slots, which the compiled packet path reads by
+    # offset; ``__dict__`` stays for the entry points it binds there.
+    __slots__ = (
+        "__dict__",
+        "sim",
+        "name",
+        "probes",
+        "rx_ring_capacity",
+        "tx_ring_capacity",
+        "tx_packet_time_ns",
+        "_rx_ring",
+        "_tx_ring",
+        "_tx_done",
+        "_tx_busy",
+        "rx_line",
+        "tx_line",
+        "faults",
+        "trace",
+        "on_transmit",
+        "rx_accepted",
+        "rx_overflow_drops",
+        "tx_completed",
+        "_rx_append",
+        "_rx_popleft",
+        "_rx_accepted_inc",
+        "_rx_overflow_inc",
+        "_tx_completed_inc",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -25,6 +25,28 @@ from ..trace.buffer import Q_DROP, Q_ENQUEUE
 class PacketQueue:
     """A bounded FIFO with drop-tail overflow and watermark callbacks."""
 
+    # Data lives in slots, which the compiled packet path reads by
+    # offset; ``__dict__`` stays for the entry points it binds there.
+    __slots__ = (
+        "__dict__",
+        "name",
+        "limit",
+        "high_watermark",
+        "low_watermark",
+        "_items",
+        "_probes",
+        "_enqueued",
+        "_dequeued",
+        "_dropped",
+        "on_high",
+        "on_low",
+        "trace",
+        "enqueue_count",
+        "dequeue_count",
+        "drop_count",
+        "max_depth",
+    )
+
     def __init__(
         self,
         name: str,
@@ -182,6 +204,17 @@ class REDQueue(PacketQueue):
     overload, at the cost of dropping packets the queue could still have
     held.
     """
+
+    __slots__ = (
+        "_rng",
+        "min_threshold",
+        "max_threshold",
+        "max_probability",
+        "weight",
+        "average",
+        "early_drops",
+        "_since_last_drop",
+    )
 
     def __init__(
         self,

@@ -88,6 +88,19 @@ class Process:
     (the CPU task adds :class:`Work`).
     """
 
+    # Data lives in slots, which the compiled packet path reads by
+    # offset; ``__dict__`` stays for the entry points it binds there.
+    __slots__ = (
+        "__dict__",
+        "sim",
+        "name",
+        "state",
+        "_body",
+        "_waiting_on",
+        "_exit_callbacks",
+        "exception",
+    )
+
     def __init__(self, sim: Simulator, body: ProcessBody, name: str = "process") -> None:
         if not hasattr(body, "send"):
             raise ProcessError(

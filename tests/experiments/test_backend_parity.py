@@ -14,12 +14,13 @@ fingerprint never depends on which core ran.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 
 import pytest
 
-from repro._fastcore import FASTCORE_KIND, FastCore
+from repro._fastcore import FASTCORE_KIND, FastCore, packetpath
 from repro.core import variants
 from repro.experiments.engine import trial_fingerprint
 from repro.experiments.harness import run_trial
@@ -226,6 +227,25 @@ def test_teardown_leak_accounting_on_fast_backend():
     assert reports["pure"] == reports["fast"]
 
 
+def assert_only_bindings_in_dicts(router):
+    """The data of every CPU, NIC, interrupt line and queue lives in
+    slots: each instance ``__dict__`` holds only the compiled entry
+    points ``packetpath`` bound on that object."""
+    bound = {}
+    for owner, attr in router.__dict__[packetpath._PP_STATE]["bound"]:
+        bound.setdefault(id(owner), set()).add(attr)
+    queues = [router.driver_in.ifqueue, router.driver_out.ifqueue]
+    if router.ip_input is not None:
+        queues.append(router.ip_input.ipintrq)
+    if router.screen_queue is not None:
+        queues.append(router.screen_queue)
+    owners = [router.nic_in, router.nic_out, *queues]
+    owners += [*router.kernel.cpus, *router.kernel.irq_lines()]
+    for obj in owners:
+        extra = set(vars(obj)) - bound.get(id(obj), set())
+        assert not extra, (obj, sorted(extra))
+
+
 def test_traced_faulted_trial_stays_compiled():
     """Arming a trace ring, the watchdog and a fault plan leaves the
     compiled packet path installed on a fast-c router: the C bodies
@@ -255,8 +275,49 @@ def test_traced_faulted_trial_stays_compiled():
             assert "_complete" in cpu.__dict__, cpu.name
         for controller in router.kernel.controllers:
             assert "try_deliver" in controller.__dict__, controller.cpu.name
+        assert_only_bindings_in_dicts(router)
     assert pure.faults["injected"]
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
+
+
+GC_CASES = {
+    "unmodified-12k": TrialSpec(
+        variants.unmodified(), 12_000, seed=3, **TIMING
+    ),
+    "hybrid-q10-9k-smp4": TrialSpec(
+        variants.hybrid(quota=10),
+        9_000,
+        seed=3,
+        machine=MachineSpec(cores=4, steering=STEERING_RSS, isolate_polling=True),
+        **TIMING,
+    ),
+}
+
+
+@pytest.mark.skipif(
+    FASTCORE_KIND != "fast-c", reason="needs the compiled packet path"
+)
+@pytest.mark.parametrize("name", sorted(GC_CASES))
+def test_compiled_dispatch_leaves_no_cyclic_garbage(name):
+    """A finished handler task drops its compiled ``deliver`` binding,
+    which would otherwise hold the task in a reference cycle: a fast
+    trial leaves the cyclic collector no more garbage than a pure one.
+    Each backend runs the spec once to warm up, then again with the
+    collector off; ``gc.collect()`` then counts what that trial left."""
+
+    def unreachable(backend):
+        spec = GC_CASES[name].replace(backend=backend)
+        run_trial(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            run_trial(spec)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    pure = unreachable("pure")
+    assert unreachable("fast") <= pure
 
 
 def test_backend_never_enters_fingerprint():

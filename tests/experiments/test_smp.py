@@ -23,6 +23,8 @@ from repro.hw.machine import STEERING_AFFINITY, STEERING_RSS, MachineSpec
 from repro.sim.backend import make_simulator
 from repro.sim.process import Work
 
+from .test_backend_parity import assert_only_bindings_in_dicts
+
 TIMING = dict(duration_s=0.06, warmup_s=0.02)
 
 DRIVERS = {
@@ -163,6 +165,7 @@ def test_fast_backend_runs_compiled_on_every_core(driver):
             assert "task" in cpu.__dict__, cpu.name
         for controller in router.kernel.controllers:
             assert "try_deliver" in controller.__dict__, controller.cpu.name
+        assert_only_bindings_in_dicts(router)
     pure_d, fast_d = asdict(pure), asdict(fast)
     pure_d.pop("backend")
     fast_d.pop("backend")
