@@ -1,17 +1,11 @@
 #!/usr/bin/env python
 """Build the optional compiled fast core (repro._fastcore).
 
-Two independent builds, best available wins at import time:
-
-1. the hand-written C extension ``_corec`` (backend ``fast-c``) — needs
-   only a C compiler and the CPython headers;
-2. a mypyc compile of ``repro/_fastcore/core.py`` (``fast-mypyc``) —
-   only attempted with ``--mypyc`` and only if mypyc is installed.
-
-Neither is required: without any toolchain the package runs the
-interpreted fallback (``fast-py``) for ``backend=fast`` and the pure
-backend everywhere else. This script therefore *never fails the
-install*; run it directly (or via ``setup.py build_ext``) to opt in.
+The hand-written C extension ``_corec`` (backend ``fast-c``) needs only
+a C compiler and the CPython headers. It is not required: without it,
+``backend=fast`` falls back to the pure backend with a logged reason.
+This script therefore *never fails the install*; run it directly (or
+via ``setup.py build_ext``) to opt in.
 
 The artifact is written next to the sources
 (``src/repro/_fastcore/_corec.<abi>.so``) so ``PYTHONPATH=src`` runs
@@ -49,15 +43,6 @@ def corec_stale() -> bool:
     return SOURCE.stat().st_mtime > out.stat().st_mtime
 
 
-def mypyc_stale() -> bool:
-    """True when ``core.py`` is newer than its mypyc artifact (if any)."""
-    artifacts = sorted(PKG.glob("core.*.so"))
-    if not artifacts:
-        return True
-    source_mtime = (PKG / "core.py").stat().st_mtime
-    return any(source_mtime > art.stat().st_mtime for art in artifacts)
-
-
 def build_corec(verbose: bool = True) -> Path:
     """Compile _corec.c into an importable extension; returns the path."""
     cc = sysconfig.get_config_var("CC") or "cc"
@@ -80,23 +65,6 @@ def build_corec(verbose: bool = True) -> Path:
     return out
 
 
-def build_mypyc(verbose: bool = True) -> bool:
-    """Try the mypyc build of core.py; returns False if mypyc is absent."""
-    try:
-        from mypyc.build import mypycify  # noqa: F401
-    except ImportError:
-        if verbose:
-            print("mypyc not installed; skipping the fast-mypyc build")
-        return False
-    from setuptools import setup
-
-    setup(
-        script_args=["build_ext", "--inplace"],
-        ext_modules=mypycify([str(PKG / "core.py")]),
-    )
-    return True
-
-
 def verify() -> str:
     """Import the freshly built core and prove it loads."""
     sys.path.insert(0, str(REPO / "src"))
@@ -111,11 +79,6 @@ def verify() -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--mypyc",
-        action="store_true",
-        help="also attempt the mypyc build of core.py (skipped if absent)",
-    )
     parser.add_argument(
         "--force",
         action="store_true",
@@ -132,8 +95,6 @@ def main() -> int:
         if not args.quiet:
             print("%s is newer than %s; skipping (use --force to rebuild)"
                   % (out.name, SOURCE.name))
-    if args.mypyc and (args.force or mypyc_stale()):
-        build_mypyc(verbose=not args.quiet)
     kind = verify()
     print("%s %s (resolved backend flavour: %s)" % (built, out.name, kind))
     return 0

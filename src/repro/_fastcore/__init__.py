@@ -1,22 +1,18 @@
 """Compiled fast core for the simulator hot path (opt-in backend).
 
-Resolution order, best available wins:
+``repro._fastcore._corec`` is the hand-written C extension
+(``backend_name == "fast-c"``), built by ``scripts/build_fastcore.py``
+or the optional ``setup.py`` extension build. It is bit-identical to
+the pure backend (same firing order, same RNG draw order, same
+``TrialResult`` bytes); it only changes speed.
 
-1. ``repro._fastcore._corec`` — the hand-written C extension
-   (``backend_name == "fast-c"``), built by ``scripts/build_fastcore.py``
-   or the optional ``setup.py`` extension build;
-2. :mod:`repro._fastcore.core` compiled by mypyc (``fast-mypyc``);
-3. :mod:`repro._fastcore.core` interpreted (``fast-py``).
-
-All three are bit-identical to the pure backend (same firing order,
-same RNG draw order, same ``TrialResult`` bytes); the flavour only
-changes speed. ``FASTCORE_KIND`` names what this process resolved, and
-``FASTCORE_ERROR`` keeps the import error when the C extension was
-absent or failed to load (for diagnostics — an absent extension is not
-an error, it is the no-toolchain install working as designed).
-
-Selection between ``pure`` and ``fast`` happens one layer up, in
-:mod:`repro.sim.backend`.
+``FastCore`` is its simulator type, or None when the extension is
+absent or failed to load. ``FASTCORE_KIND`` names what
+``backend="fast"`` runs in this process: ``"fast-c"``, or ``"pure"``
+when :mod:`repro.sim.backend` has to fall back to the oracle.
+``FASTCORE_ERROR`` keeps the import error for diagnostics (an absent
+extension is not an error, it is the no-toolchain install working as
+designed).
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ try:  # pragma: no cover - exercised only when the extension is built
     FASTCORE_KIND = "fast-c"
 except ImportError as exc:
     FASTCORE_ERROR = exc
-    from .core import FastCore
-
-    FASTCORE_KIND = FastCore.backend_name
+    FastCore = None
+    FASTCORE_KIND = "pure"
 
 __all__ = ["FastCore", "FASTCORE_KIND", "FASTCORE_ERROR"]

@@ -22,11 +22,8 @@
  *   - the slab's getrefcount(ev) == 2 gate (local + getrefcount arg)
  *     becomes Py_REFCNT(ev) == 1 on the popped triple's sole reference
  *     — the same "scheduler is the only owner" test;
- *   - the drain is the *scalar* loop. The batch drain exists to
- *     amortise interpreter overhead across a chunk of pops; compiled
- *     code has no interpreter overhead to amortise, and the scalar
- *     loop's per-boundary counter evolution is what the batch loop is
- *     defined to imitate (see repro/sim/_drain.py);
+ *   - the drain ports drain_plain (repro/sim/_drain.py), the one
+ *     drain loop; its sanitized twin stays in python (see below);
  *   - callbacks can reenter schedule()/cancel() (and cancel can
  *     compact, which reallocates every array), so the loop re-reads
  *     self->cur after every callback and never caches array pointers

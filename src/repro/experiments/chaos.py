@@ -12,8 +12,9 @@ case three ways:
    and end-of-trial teardown reconciliation (catches ownership leaks,
    queue-invariant violations, unbalanced pool books);
 2. **pure**: plain pure-backend run;
-3. **fast**: plain compiled-backend run (:mod:`repro._fastcore`, in
-   whatever flavour the host resolves).
+3. **fast**: plain compiled-backend run (:mod:`repro._fastcore`); a
+   host without the C extension skips this leg, because ``fast`` would
+   re-run the pure oracle there.
 
 All three must produce bit-identical :class:`TrialResult`\\ s (modulo
 the ``backend`` attribution field), and the reference run's teardown
@@ -36,6 +37,7 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+from .. import _fastcore
 from ..core import variants
 from ..faults import FaultPlan
 from ..hw.machine import STEERING_POLICIES, MachineSpec
@@ -249,6 +251,12 @@ def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
     )
 
 
+def _fast_leg(fast: bool) -> bool:
+    """Whether to run the fast leg: only where ``backend="fast"`` is the
+    C core, since elsewhere it would re-run pure under the fast label."""
+    return fast and _fastcore.FastCore is not None
+
+
 def run_case(case: ChaosCase, fast: bool = True) -> Dict:
     """Run one case three ways; return its structured record.
 
@@ -263,7 +271,7 @@ def run_case(case: ChaosCase, fast: bool = True) -> Dict:
         "failure": None,
     }
     stages = [("reference", PURE, True), ("pure", PURE, False)]
-    if fast:
+    if _fast_leg(fast):
         stages.append(("fast", FAST, False))
     results = {}
     for stage, backend, sanitize in stages:
@@ -367,10 +375,12 @@ def run_chaos(
 ) -> ChaosReport:
     """Fuzz and differentially run ``budget`` cases rooted at ``seed``.
 
-    ``fast=False`` skips the compiled-backend leg (pure-only hosts).
+    ``fast=False`` skips the compiled-backend leg, and so does a host
+    without the C extension; the report's ``fast`` says which ran.
     ``progress`` is an optional callable fed each case record as it
     completes (the CLI uses it for live output).
     """
+    fast = _fast_leg(fast)
     report = ChaosReport(seed=seed, budget=budget, fast=fast)
     for index in range(budget):
         case = fuzz_case(seed, index)

@@ -74,12 +74,11 @@ class TrialResult:
     #: Structured SLO verdict (:mod:`repro.experiments.scenarios`); None
     #: unless the trial was produced by a named scenario run.
     slo: Optional[Dict] = None
-    #: Name of the simulator core that computed this trial (``"pure"``,
-    #: ``"fast-c"``, ``"fast-mypyc"``, ``"fast-py"``) — attribution
-    #: only, never part of trial identity: the backends are
-    #: bit-identical, results are comparable (and cacheable) across
-    #: them. None when an injected router's simulator predates the
-    #: backend split.
+    #: Name of the simulator core that computed this trial (``"pure"``
+    #: or ``"fast-c"``) — attribution only, never part of trial
+    #: identity: the backends are bit-identical, results are comparable
+    #: (and cacheable) across them. None when an injected router's
+    #: simulator predates the backend split.
     backend: Optional[str] = None
 
     @property

@@ -1,87 +1,38 @@
-"""Drain-loop codegen: one template, three loop bodies.
+"""The simulator's drain loop and its sanitized twin.
 
-The simulator's drain loop exists in three flavours:
+* :func:`drain_plain` is the hot loop ``Simulator.run`` calls; the
+  compiled core (``repro._fastcore._corec``) ports it line for line.
+* :func:`drain_sanitized` is the same loop plus an invariant-check hook
+  every N fired events, taken only when a sanitizer is attached.
 
-* **plain** — the default hot loop (exactly what ``Simulator.run`` used
-  to inline);
-* **sanitized** — the same loop plus an invariant-check hook every N
-  fired events;
-* **batch** — the fast-backend loop: pop up to :data:`BATCH_CHUNK`
-  runnable triples into a buffer, then fire them back-to-back, paying
-  the heap/deadline bookkeeping once per chunk instead of once per
-  event. This is the pure-python model of the compiled
-  ``repro._fastcore`` drain and the fallback when no extension built.
+The two must stay twins: same firing order, same counter values
+observable from inside any callback (what the livelock watchdog
+samples), same final stats. ``tests/sim/test_drain_variants.py`` runs
+them side by side and checks that their sources differ by the
+sanitizer lines alone, so a change to the shared body (tombstone skip,
+slab recycle, clock checks) has to land in both.
 
-Historically the first two were hand-written twins that had to be kept
-in step by code review. They are now *generated* from the fragments
-below, so a change to the shared body (tombstone skip, slab recycle,
-clock checks) lands in every variant by construction, and adding the
-batch loop made three drain copies, not four: a sanitized simulation
-always takes the scalar sanitized loop (see ``Simulator.run``), because
-the sanitizer's "every N fired events" contract is awkward to honour
-mid-chunk and the sanitizer already rescans the whole queue anyway.
-
-Behavioural identity of all three variants — same firing order, same
-counter values observable from inside any callback, same final stats —
-is asserted by ``tests/sim/test_drain_variants.py``.
-
-Why the batch loop is observably identical to the scalar one, not just
-"same firing order":
-
-* tombstones are *buffered*, not reclaimed at fill time, and skipped at
-  exactly the position the scalar loop would pop them, so
-  ``_tombstones`` / slab counters evolve identically at every callback
-  boundary;
-* ``_inflight`` counts buffered-but-unfired triples and is added to
-  ``stats["heap_size"]``, so a watchdog sampling scheduler pressure
-  from inside a chunk sees the same resident count either way;
-* a compaction triggered by ``cancel`` inside a callback filters the
-  in-flight buffer too (``Simulator._compact``), and the fire phase
-  detects it via the ``_compactions`` counter and restarts on the
-  filtered buffer;
-* an event scheduled *during* a chunk that orders before a buffered
-  event forces a spill: the remaining buffer is pushed back into the
-  current-slot heap and the fill phase re-runs. Same-instant schedules
-  need no spill — they get a fresh (higher) seq, so FIFO order already
-  places them after every buffered triple.
+The slab recycle is ``EventSlab.release``'s fast path inlined: an event
+goes back to the freelist only when ``getrefcount`` shows the drain's
+local as its last reference.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 from sys import getrefcount
 
 from .errors import ClockError
 from .events import CANCELLED, FIRED
 
-#: Events fired per buffer fill in the batch drain. Large enough to
-#: amortise the per-chunk bookkeeping, small enough that the buffer
-#: stays in cache and a deadline overshoot costs at most one refill.
-BATCH_CHUNK = 128
 
-
-def _recycle(var: str, indent: int) -> str:
-    """The inlined ``EventSlab.release`` fast path (refcount-gated)."""
-    pad = " " * indent
-    return (
-        "{p}if getref({v}) == 2:\n"
-        "{p}    nfree = len(free)\n"
-        "{p}    if nfree < cap:\n"
-        "{p}        free.append({v})\n"
-        "{p}        if nfree >= slab.high_water:\n"
-        "{p}            slab.high_water = nfree + 1\n"
-    ).format(p=pad, v=var)
-
-
-_SCALAR_TEMPLATE = """\
-def {name}(self, deadline):
+def drain_plain(self, deadline):
     pop = heappop
     getref = getrefcount
     slab = self._slab
     free = slab._free
     cap = slab.max_free
     advance = self._advance
-{setup}\
     while True:
         cur = self._cur
         while cur:
@@ -91,7 +42,12 @@ def {name}(self, deadline):
                 pop(cur)
                 self._tombstones -= 1
                 del head
-{recycle_skip}\
+                if getref(event) == 2:
+                    nfree = len(free)
+                    if nfree < cap:
+                        free.append(event)
+                        if nfree >= slab.high_water:
+                            slab.high_water = nfree + 1
                 continue
             time = head[0]
             if time > deadline:
@@ -106,191 +62,68 @@ def {name}(self, deadline):
             event.state = FIRED
             self._fired += 1
             event.callback(*event.args)
-{recycle_fire}\
-{post_fire}\
+            if getref(event) == 2:
+                nfree = len(free)
+                if nfree < cap:
+                    free.append(event)
+                    if nfree >= slab.high_water:
+                        slab.high_water = nfree + 1
         else:
             if advance(deadline):
                 continue
         break
-"""
 
-_SANITIZE_SETUP = """\
-    hook = self._sanitize_hook
-    every = self._sanitize_every
-    countdown = every
-"""
 
-_SANITIZE_POST_FIRE = """\
-            countdown -= 1
-            if countdown <= 0:
-                countdown = every
-                hook()
-"""
-
-_BATCH_TEMPLATE = """\
-def {name}(self, deadline):
+def drain_sanitized(self, deadline):
     pop = heappop
-    push = heappush
     getref = getrefcount
     slab = self._slab
     free = slab._free
     cap = slab.max_free
     advance = self._advance
-    chunk = BATCH_CHUNK
-    buf = []
-    self._inflight_buf = buf
-    try:
-        while True:
-            cur = self._cur
-            # Fill: pop up to `chunk` runnable triples without firing.
-            # Tombstones ride along un-reclaimed so the fire phase can
-            # skip them at exactly the scalar loop's position.
-            fill = 0
-            while cur and fill < chunk:
-                head = cur[0]
-                if head[2].state != CANCELLED and head[0] > deadline:
-                    break
+    hook = self._sanitize_hook
+    every = self._sanitize_every
+    countdown = every
+    while True:
+        cur = self._cur
+        while cur:
+            head = cur[0]
+            event = head[2]
+            if event.state == CANCELLED:
                 pop(cur)
-                buf.append(head)
-                fill += 1
-            if not buf:
-                if cur:
-                    break
-                if advance(deadline):
-                    continue
-                break
-            # Fire: consume the buffer in (time, seq) order.
-            self._inflight = fill
-            gen = self._compactions
-            i = 0
-            nbuf = fill
-            while i < nbuf:
-                head = buf[i]
-                buf[i] = None
-                i += 1
-                # Anything in the heap that orders before `head` was
-                # scheduled (or left over) during this chunk: reclaim
-                # tombstones inline, spill on a live event.
-                live = None
-                while cur:
-                    nxt = cur[0]
-                    if not nxt < head:
-                        break
-                    event = nxt[2]
-                    if event.state == CANCELLED:
-                        pop(cur)
-                        self._tombstones -= 1
-                        del nxt
-{recycle_guard}\
-                        continue
-                    live = nxt
-                    break
-                if live is not None:
-                    push(cur, head)
-                    while i < nbuf:
-                        push(cur, buf[i])
-                        buf[i] = None
-                        i += 1
-                    break
-                event = head[2]
-                if event.state == CANCELLED:
-                    self._tombstones -= 1
-                    del head
-                    self._inflight = nbuf - i
-{recycle_skip}\
-                    continue
-                time = head[0]
-                if time < self._now:
-                    raise ClockError(
-                        "event at t=%d behind clock t=%d" % (time, self._now)
-                    )
+                self._tombstones -= 1
                 del head
-                self._now = time
-                event.state = FIRED
-                self._fired += 1
-                self._inflight = nbuf - i
-                event.callback(*event.args)
-{recycle_fire}\
-                if self._compactions != gen:
-                    # A cancel inside the callback compacted the queue;
-                    # _compact filtered `buf` in place (consumed slots
-                    # and tombstones dropped), so restart on it.
-                    gen = self._compactions
-                    i = 0
-                    nbuf = len(buf)
-            del buf[:]
-            self._inflight = 0
-    finally:
-        self._inflight_buf = None
-        self._inflight = 0
-        if buf:
-            # A callback raised mid-chunk (e.g. WatchdogTimeout): put
-            # the unfired remainder back so the queue stays consistent.
-            cur = self._cur
-            for head in buf:
-                if head is not None:
-                    push(cur, head)
-            del buf[:]
-"""
-
-
-def _render(kind: str, name: str) -> str:
-    if kind == "plain":
-        return _SCALAR_TEMPLATE.format(
-            name=name,
-            setup="",
-            post_fire="",
-            recycle_skip=_recycle("event", 16),
-            recycle_fire=_recycle("event", 12),
-        )
-    if kind == "sanitized":
-        return _SCALAR_TEMPLATE.format(
-            name=name,
-            setup=_SANITIZE_SETUP,
-            post_fire=_SANITIZE_POST_FIRE,
-            recycle_skip=_recycle("event", 16),
-            recycle_fire=_recycle("event", 12),
-        )
-    if kind == "batch":
-        return _BATCH_TEMPLATE.format(
-            name=name,
-            recycle_guard=_recycle("event", 24),
-            recycle_skip=_recycle("event", 20),
-            recycle_fire=_recycle("event", 16),
-        )
-    raise ValueError("unknown drain kind %r" % (kind,))
-
-
-def make_drain(kind: str, name: str = None):
-    """Compile and return the drain function for ``kind``.
-
-    ``kind`` is one of ``"plain"``, ``"sanitized"``, ``"batch"``. The
-    returned function has signature ``(self, deadline)`` and is meant to
-    be installed as a method on :class:`~repro.sim.simulator.Simulator`
-    (or a subclass).
-    """
-    name = name or "drain_" + kind
-    source = _render(kind, name)
-    namespace = {
-        "heappop": heappop,
-        "heappush": heappush,
-        "getrefcount": getrefcount,
-        "CANCELLED": CANCELLED,
-        "FIRED": FIRED,
-        "ClockError": ClockError,
-        "BATCH_CHUNK": BATCH_CHUNK,
-    }
-    code = compile(source, "<drain:%s>" % kind, "exec")
-    exec(code, namespace)
-    return namespace[name]
-
-
-#: Rendered sources, for inspection and for the identity test's "the
-#: scalar variants differ only by the sanitizer fragments" assertion.
-DRAIN_SOURCES = {kind: _render(kind, "drain_" + kind) for kind in (
-    "plain", "sanitized", "batch",
-)}
-
-drain_plain = make_drain("plain")
-drain_sanitized = make_drain("sanitized")
-drain_batch = make_drain("batch")
+                if getref(event) == 2:
+                    nfree = len(free)
+                    if nfree < cap:
+                        free.append(event)
+                        if nfree >= slab.high_water:
+                            slab.high_water = nfree + 1
+                continue
+            time = head[0]
+            if time > deadline:
+                break
+            if time < self._now:
+                raise ClockError(
+                    "event at t=%d behind clock t=%d" % (time, self._now)
+                )
+            pop(cur)
+            del head
+            self._now = time
+            event.state = FIRED
+            self._fired += 1
+            event.callback(*event.args)
+            if getref(event) == 2:
+                nfree = len(free)
+                if nfree < cap:
+                    free.append(event)
+                    if nfree >= slab.high_water:
+                        slab.high_water = nfree + 1
+            countdown -= 1
+            if countdown <= 0:
+                countdown = every
+                hook()
+        else:
+            if advance(deadline):
+                continue
+        break

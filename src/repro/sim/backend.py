@@ -7,19 +7,19 @@ Three knobs, highest priority first:
 3. the default: ``"pure"``.
 
 ``"pure"`` is the reference oracle — the plain-python
-:class:`~repro.sim.simulator.Simulator`. ``"fast"`` is the best
-available :mod:`repro._fastcore` flavour (C extension, mypyc, or the
-interpreted fallback — see that package). The two are bit-identical by
-contract, which is why the backend is *stripped from cache
+:class:`~repro.sim.simulator.Simulator`. ``"fast"`` is the C core
+:class:`repro._fastcore.FastCore` (``fast-c``); where that extension is
+absent, :func:`make_simulator` falls back to the oracle with a logged
+reason, so the trial reports ``pure``. The two cores are bit-identical
+by contract, which is why the backend is *stripped from cache
 fingerprints* (:mod:`repro.experiments.engine`): a cached trial is
 valid for either backend, and ``TrialResult.backend`` records which
-flavour actually computed it.
+core actually computed it.
 
-The invariant sanitizer is the one feature the compiled cores do not
-carry (its hook fires per event, which a compiled batch loop cannot
-honour without giving up its advantage): ``sanitize=True`` trials are
-forced back to ``pure`` with a logged reason (see
-``repro.experiments.harness.run_trial``).
+The invariant sanitizer is the one feature the compiled core does not
+carry (it rescans Python-visible queue internals after every N fired
+events): ``sanitize=True`` trials are likewise forced back to ``pure``
+with a logged reason (see ``repro.experiments.harness.run_trial``).
 """
 
 from __future__ import annotations
@@ -61,18 +61,17 @@ def make_simulator(backend: Optional[str] = None) -> Simulator:
     """A fresh simulator for the resolved ``backend``.
 
     The returned object's ``backend_name`` says what actually runs:
-    ``"pure"``, or for ``"fast"`` the resolved flavour (``fast-c`` /
-    ``fast-mypyc`` / ``fast-py``).
+    ``"fast-c"`` for ``"fast"`` when the C extension is built, else
+    ``"pure"`` (with a logged warning when ``"fast"`` was requested).
     """
     if resolve_backend(backend) == FAST:
-        from repro._fastcore import FastCore
+        from repro import _fastcore
 
-        return FastCore()
+        if _fastcore.FastCore is not None:
+            return _fastcore.FastCore()
+        log.warning(
+            "backend=fast needs the compiled C extension (%s); falling "
+            "back to backend=pure",
+            _fastcore.FASTCORE_ERROR,
+        )
     return Simulator()
-
-
-def fastcore_kind() -> str:
-    """The flavour ``backend="fast"`` resolves to in this process."""
-    from repro._fastcore import FASTCORE_KIND
-
-    return FASTCORE_KIND

@@ -139,8 +139,8 @@ class Simulator:
     """Event loop and virtual clock for one simulation run."""
 
     #: Which core this is, for attribution (stats, ``TrialResult``,
-    #: Perfetto metadata). The compiled backends report their flavour
-    #: (``fast-c`` / ``fast-mypyc`` / ``fast-py``); see repro.sim.backend.
+    #: Perfetto metadata). The compiled core reports ``fast-c``; see
+    #: repro.sim.backend.
     backend_name = "pure"
 
     def __init__(self) -> None:
@@ -180,14 +180,6 @@ class Simulator:
         self._wheel_base: int = 0
         #: Freelist of retired Event objects (see module docstring).
         self._slab: EventSlab = EventSlab()
-        #: Triples popped into a batch drain's buffer but not yet fired
-        #: (always 0 under the scalar drains). Counted into
-        #: ``stats["heap_size"]`` so scheduler-pressure sampling reads
-        #: the same resident count under every drain variant.
-        self._inflight: int = 0
-        #: The live batch buffer while a batch drain runs, so
-        #: :meth:`_compact` can filter tombstones out of it too.
-        self._inflight_buf: Optional[List[Tuple[int, int, Event]]] = None
         #: Optional invariant-sanitizer hook: ``(callable, every_n)``.
         #: When set, :meth:`run` switches to an instrumented drain loop
         #: that invokes the callable every ``every_n`` fired events; when
@@ -382,17 +374,6 @@ class Simulator:
                     count += len(bucket)
         self._occ = occ
         self._wheel_count = count
-        buf = self._inflight_buf
-        if buf:
-            # A batch drain is mid-chunk: its buffer holds popped-but-
-            # unfired triples, including possibly tombstones. Filter it
-            # too (dropping consumed slots), or resetting ``_tombstones``
-            # below would under-count. The drain notices ``_compactions``
-            # changed and restarts on the filtered buffer.
-            buf[:] = [
-                tr for tr in buf if tr is not None and tr[2].state != CANCELLED
-            ]
-            self._inflight = len(buf)
         # Dropped events go to the GC, not the slab: list comprehensions
         # hold transient references, so the refcount gate can't prove
         # exclusivity here, and compaction is far off the hot path.
@@ -557,31 +538,21 @@ class Simulator:
             raise SchedulingError(
                 "deadline t=%d is in the past (now t=%d)" % (until, self._now)
             )
-        # The drain-loop variants (plain / sanitized / batch) are
-        # generated from one template in repro.sim._drain; this is the
-        # single selection seam. A float +inf deadline lets one
-        # comparison cover the "no deadline" case (ints compare fine
-        # against it). A sanitized run always takes the scalar
-        # sanitized loop — even on a batch-drain subclass — because the
-        # hook's "every N fired events" contract is per-event by
-        # definition (that is why there is no batch-sanitized variant).
+        # The drain loop and its sanitized twin live in repro.sim._drain.
+        # A float +inf deadline lets one comparison cover the "no
+        # deadline" case (ints compare fine against it).
         deadline = _INF if until is None else until
         self._running = True
         try:
             if self._sanitize_hook is not None:
                 drain_sanitized(self, deadline)
             else:
-                self._drain(deadline)
+                drain_plain(self, deadline)
         finally:
             self._running = False
         if until is not None:
             self._now = max(self._now, until)
         return self._now
-
-    #: The hot drain loop, installed as an unbound method so subclasses
-    #: (the fast backend's interpreted fallback) can swap in the batch
-    #: variant by reassigning one attribute.
-    _drain = drain_plain
 
     def set_sanitize_hook(self, hook: Callable[[], None], every_events: int) -> None:
         """Install an invariant-check hook invoked every ``every_events``
@@ -626,7 +597,6 @@ class Simulator:
                 len(self._cur)
                 + self._wheel_count
                 + len(self._overflow)
-                + self._inflight
             ),
             "compactions": self._compactions,
             "wheel_occupancy": bin(self._occ).count("1"),

@@ -48,6 +48,13 @@ MACHINES = {
 }
 TIMING = dict(duration_s=0.05, warmup_s=0.02)
 
+#: Without ``_corec``, ``backend="fast"`` builds the pure oracle, so a
+#: fast-vs-pure test would only compare the oracle with itself.
+needs_corec = pytest.mark.skipif(
+    FASTCORE_KIND != "fast-c",
+    reason="without _corec, backend=fast is the pure oracle",
+)
+
 MATRIX = [
     (driver, plan, trace, machine)
     for machine in MACHINES
@@ -80,6 +87,7 @@ def _run(driver, plan, trace, machine, backend):
     return run_trial(spec), ring
 
 
+@needs_corec
 @pytest.mark.parametrize(
     "driver,plan,trace,machine",
     MATRIX,
@@ -108,6 +116,7 @@ GOLDEN_SLICE = [
 ]
 
 
+@needs_corec
 @pytest.mark.parametrize(
     "variant,workload,rate,seed",
     GOLDEN_SLICE,
@@ -142,6 +151,7 @@ ADVERSARIAL = [
 ]
 
 
+@needs_corec
 @pytest.mark.parametrize(
     "driver,workload,attack_rate",
     ADVERSARIAL,
@@ -173,6 +183,7 @@ MITIGATED = [
 ]
 
 
+@needs_corec
 @pytest.mark.parametrize(
     "name,factory", MITIGATED, ids=[name for name, _ in MITIGATED]
 )
@@ -191,6 +202,7 @@ def test_mitigation_controller_bit_identical(name, factory):
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
+@needs_corec
 @pytest.mark.parametrize("mitigate", [False, True], ids=["bare", "mitigated"])
 def test_scenario_slo_verdicts_match_on_fast_backend(mitigate):
     """Full scenario runs (baseline → attack → recovery) must reach the
@@ -204,6 +216,7 @@ def test_scenario_slo_verdicts_match_on_fast_backend(mitigate):
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
+@needs_corec
 def test_teardown_leak_accounting_on_fast_backend():
     """``Router.teardown`` must balance the pool's books with the
     compiled packet path installed: every packet parked in rings,
@@ -246,6 +259,7 @@ def assert_only_bindings_in_dicts(router):
         assert not extra, (obj, sorted(extra))
 
 
+@needs_corec
 def test_traced_faulted_trial_stays_compiled():
     """Arming a trace ring, the watchdog and a fault plan leaves the
     compiled packet path installed on a fast-c router: the C bodies
@@ -266,16 +280,15 @@ def test_traced_faulted_trial_stays_compiled():
     pure = run_trial(spec.replace(backend="pure"))
     router = Router(spec.config, sim=make_simulator("fast"))
     fast = run_trial(spec.replace(backend="fast"), router=router)
-    if FASTCORE_KIND == "fast-c":
-        for nic in (router.nic_in, router.nic_out):
-            assert "receive_from_wire" in nic.__dict__, nic.name
-            assert "_transmit_complete" in nic.__dict__, nic.name
-        for cpu in router.kernel.cpus:
-            assert "task" in cpu.__dict__, cpu.name
-            assert "_complete" in cpu.__dict__, cpu.name
-        for controller in router.kernel.controllers:
-            assert "try_deliver" in controller.__dict__, controller.cpu.name
-        assert_only_bindings_in_dicts(router)
+    for nic in (router.nic_in, router.nic_out):
+        assert "receive_from_wire" in nic.__dict__, nic.name
+        assert "_transmit_complete" in nic.__dict__, nic.name
+    for cpu in router.kernel.cpus:
+        assert "task" in cpu.__dict__, cpu.name
+        assert "_complete" in cpu.__dict__, cpu.name
+    for controller in router.kernel.controllers:
+        assert "try_deliver" in controller.__dict__, controller.cpu.name
+    assert_only_bindings_in_dicts(router)
     assert pure.faults["injected"]
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
@@ -294,9 +307,7 @@ GC_CASES = {
 }
 
 
-@pytest.mark.skipif(
-    FASTCORE_KIND != "fast-c", reason="needs the compiled packet path"
-)
+@needs_corec
 @pytest.mark.parametrize("name", sorted(GC_CASES))
 def test_compiled_dispatch_leaves_no_cyclic_garbage(name):
     """A finished handler task drops its compiled ``deliver`` binding,
@@ -347,6 +358,27 @@ def test_sanitize_falls_back_to_pure_with_logged_reason(caplog):
     assert any("falling back to backend=pure" in rec.message for rec in caplog.records)
 
 
+def test_fast_falls_back_to_pure_without_corec(monkeypatch, caplog):
+    """Where ``_corec`` is absent, ``backend="fast"`` builds the pure
+    oracle and says so: one logged reason per simulator built, and the
+    trial reports the core that ran, ``pure``."""
+    import repro._fastcore as fastcore
+
+    monkeypatch.setattr(fastcore, "FastCore", None)
+    monkeypatch.setattr(fastcore, "FASTCORE_KIND", "pure")
+    monkeypatch.setattr(fastcore, "FASTCORE_ERROR", ImportError("no _corec"))
+    spec = TrialSpec(variants.unmodified(), 4_000, seed=0, **TIMING)
+    with caplog.at_level(logging.WARNING, logger="repro.backend"):
+        assert type(make_simulator("fast")) is Simulator
+        result = run_trial(spec.replace(backend="fast"))
+    assert result.backend == "pure"
+    fallbacks = [
+        rec for rec in caplog.records
+        if "falling back to backend=pure" in rec.message
+    ]
+    assert len(fallbacks) == 2
+
+
 def test_resolve_backend_env_and_validation(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) == "pure"
@@ -360,6 +392,7 @@ def test_resolve_backend_env_and_validation(monkeypatch):
         resolve_backend(None)
 
 
+@needs_corec
 def test_make_simulator_reports_backend():
     pure = make_simulator("pure")
     fast = make_simulator("fast")

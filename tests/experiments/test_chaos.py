@@ -134,6 +134,30 @@ def test_fast_false_skips_the_compiled_leg():
     assert record["ok"], record["failure"]
 
 
+def test_host_without_corec_reports_only_the_legs_it_ran(monkeypatch):
+    """Without ``_corec``, ``backend="fast"`` is the pure oracle, so the
+    fast leg is skipped and the report says ``fast: false`` rather than
+    passing pure off as the fast leg."""
+    import repro._fastcore as fastcore
+    import repro.experiments.chaos as chaos_mod
+
+    monkeypatch.setattr(fastcore, "FastCore", None)
+    legs = []
+    run_once = chaos_mod._run_case_once
+
+    def spy(case, backend, sanitize):
+        legs.append(backend)
+        return run_once(case, backend, sanitize)
+
+    monkeypatch.setattr(chaos_mod, "_run_case_once", spy)
+    report = run_chaos(seed=0, budget=1)
+    assert report.ok
+    assert report.to_dict()["fast"] is False
+    assert legs == ["pure", "pure"]
+    assert replay_case(0, 0) == report.cases[0]
+    assert legs == ["pure"] * 4
+
+
 # ----------------------------------------------------------------------
 # Failure records point back at the seed
 # ----------------------------------------------------------------------

@@ -87,7 +87,7 @@ def _comparable(result):
     # Attribution only, never part of trial identity: the backends are
     # bit-identical by contract (and this very test, run under
     # REPRO_BACKEND=fast, is part of the proof).
-    assert data.pop("backend") in ("pure", "fast-c", "fast-mypyc", "fast-py")
+    assert data.pop("backend") in ("pure", "fast-c")
     return data
 
 

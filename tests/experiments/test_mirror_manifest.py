@@ -2,7 +2,7 @@
 
 Much of ``repro/_fastcore/_corec.c`` replays Python methods step for
 step — the simulator's event loop (scheduling, cancellation, the timing
-wheel and the generated drain loop), the CPU engine, NIC rings, queues,
+wheel and the drain loop), the CPU engine, NIC rings, queues,
 IP forwarding, the driver IRQ handlers, the generators, and the trace
 hooks inside all of them. The
 parity matrix only notices an edit to one of those bodies when some
@@ -163,16 +163,11 @@ def _canonical(node) -> str:
 
 def source_hash(module: str, qualname: str) -> str:
     obj = importlib.import_module(module)
-    if module == "repro.sim._drain":
-        # A drain loop is compiled from a rendered template, so no file
-        # lies behind it; the module keeps the rendered text.
-        source = obj.DRAIN_SOURCES[qualname[len("drain_"):]]
-    else:
-        for part in qualname.split("."):
-            obj = inspect.getattr_static(obj, part)
-        if isinstance(obj, property):
-            obj = obj.fget
-        source = textwrap.dedent(inspect.getsource(obj))
+    for part in qualname.split("."):
+        obj = inspect.getattr_static(obj, part)
+    if isinstance(obj, property):
+        obj = obj.fget
+    source = textwrap.dedent(inspect.getsource(obj))
     tree = ast.parse(source).body[0]
     body = tree.body
     if (

@@ -1,35 +1,23 @@
-"""All drain-loop variants are behaviourally identical.
+"""The plain drain loop and its sanitized twin are behaviourally identical.
 
-The plain, sanitized, and batch drains are generated from one template
-(:mod:`repro.sim._drain`); these tests pin the contract that the
-template machinery exists to keep: same firing order, same counter
-values observable from *inside* callbacks (what the livelock watchdog
-samples), same final stats — under delay-0 chains, cross-bucket and
-overflow scheduling, cancellation storms that trigger mid-drain
-compaction, periodic timers, and deadline-tiled runs.
+:mod:`repro.sim._drain` writes the two loops out side by side; these
+tests pin the contract that keeps them twins: same firing order, same
+counter values observable from *inside* callbacks (what the livelock
+watchdog samples), same final stats — under delay-0 chains,
+cross-bucket and overflow scheduling, cancellation storms that trigger
+mid-drain compaction, periodic timers, and deadline-tiled runs — and
+sources that differ by the sanitizer lines alone.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
-from repro.sim._drain import (
-    BATCH_CHUNK,
-    DRAIN_SOURCES,
-    drain_batch,
-    drain_plain,
-    drain_sanitized,
-)
+from repro.sim._drain import drain_plain, drain_sanitized
 from repro.sim.simulator import Simulator
-
-
-class BatchSimulator(Simulator):
-    """Simulator with the batch drain installed (the interpreted model
-    of the fast backend's compiled loop)."""
-
-    _drain = drain_batch
 
 
 def _sanitized(sim: Simulator) -> Simulator:
@@ -40,7 +28,6 @@ def _sanitized(sim: Simulator) -> Simulator:
 VARIANTS = {
     "plain": lambda: Simulator(),
     "sanitized": lambda: _sanitized(Simulator()),
-    "batch": lambda: BatchSimulator(),
 }
 
 
@@ -113,108 +100,13 @@ def test_variants_identical_on_randomised_workload(seed):
             )
 
 
-# ----------------------------------------------------------------------
-# Targeted batch-drain edges.
-# ----------------------------------------------------------------------
-
-
-def test_batch_spills_when_callback_schedules_earlier_event():
-    """An event scheduled mid-chunk that orders before a buffered one
-    must still fire in global (time, seq) order."""
-
-    def build(sim):
-        fired = []
-        # Enough same-bucket events to fill a batch buffer.
-        for i in range(BATCH_CHUNK + 40):
-            sim.schedule(1_000 * (i + 1), fired.append, 1_000 * (i + 1))
-        # The first event schedules one *between* buffered events.
-        sim.schedule(500, lambda: sim.schedule(600, fired.append, 1_100))
-        return fired
-
-    plain = Simulator()
-    expected = build(plain)
-    plain.run()
-    batch = BatchSimulator()
-    got = build(batch)
-    batch.run()
-    assert got == expected
-    assert 1_100 in got
-    assert got.index(1_100) == 1
-
-
-def test_batch_inflight_not_leaked_on_callback_exception():
-    """A callback raising mid-chunk must not lose buffered events: they
-    are pushed back and a later run() fires them in order."""
-
-    class Boom(RuntimeError):
-        pass
-
-    def build(sim):
-        fired = []
-        for i in range(BATCH_CHUNK):
-            sim.schedule(10 * (i + 1), fired.append, i)
-
-        def explode():
-            raise Boom
-
-        sim.schedule(35, explode)
-        return fired
-
-    plain = Simulator()
-    expected = build(plain)
-    with pytest.raises(Boom):
-        plain.run()
-
-    batch = BatchSimulator()
-    got = build(batch)
-    with pytest.raises(Boom):
-        batch.run()
-    assert batch._inflight == 0
-    assert batch._inflight_buf is None
-    assert batch.stats == plain.stats
-
-    plain.run()
-    batch.run()
-    assert got == expected
-    assert batch.stats == plain.stats
-
-
-def test_batch_cancel_storm_compacts_mid_chunk():
-    """Cancelling from inside callbacks while a chunk is in flight must
-    keep pending/heap_size exactly in step with the scalar drain."""
-
-    def run(sim):
-        samples = []
-        handles = []
-
-        def victim():
-            samples.append(("fired-victim", sim.now))
-
-        def cancel_some(k):
-            for handle in handles[k : k + 40]:
-                sim.cancel(handle)
-            snap = sim.stats
-            samples.append((snap["pending"], snap["heap_size"], snap["compactions"]))
-
-        for i in range(400):
-            handles.append(sim.schedule(50_000 + i, victim))
-        for j in range(8):
-            sim.schedule(10 + j, cancel_some, j * 40)
-        sim.run()
-        return samples, sim.stats
-
-    plain_samples, plain_stats = run(Simulator())
-    batch_samples, batch_stats = run(BatchSimulator())
-    assert batch_samples == plain_samples
-    assert batch_stats == plain_stats
-    assert plain_stats["compactions"] > 0
-
-
 def test_scalar_sources_differ_only_by_sanitizer_fragments():
-    """The sanitized scalar loop is the plain loop plus exactly the two
+    """The sanitized loop is the plain loop plus exactly the two
     sanitizer fragments — nothing else may diverge."""
-    plain = DRAIN_SOURCES["plain"].replace("drain_plain", "drain_x")
-    sanitized = DRAIN_SOURCES["sanitized"].replace("drain_sanitized", "drain_x")
+    plain = inspect.getsource(drain_plain).replace("drain_plain", "drain_x")
+    sanitized = inspect.getsource(drain_sanitized).replace(
+        "drain_sanitized", "drain_x"
+    )
     extra = [
         line
         for line in sanitized.splitlines()
@@ -233,9 +125,3 @@ def test_scalar_sources_differ_only_by_sanitizer_fragments():
         line for line in plain.splitlines() if line not in sanitized.splitlines()
     ]
     assert plain_residue == []
-
-
-def test_generated_drains_are_installed():
-    assert Simulator._drain is drain_plain
-    assert BatchSimulator._drain is drain_batch
-    assert drain_sanitized is not drain_plain
