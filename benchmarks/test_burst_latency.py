@@ -14,6 +14,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 RATE = 500  # pkt/s average: light load, latency-dominated regime
 BURSTS = (1, 8, 32)
@@ -22,13 +23,13 @@ BURSTS = (1, 8, 32)
 def run_burst_sweep():
     medians = {}
     for burst in BURSTS:
-        trial = run_trial(
+        trial = run_trial(TrialSpec(
             variants.unmodified(),
             RATE,
             workload="bursty",
             burst_size=burst,
             **TRIAL_KWARGS,
-        )
+        ))
         medians[burst] = trial.latency_us["median"]
     return medians
 

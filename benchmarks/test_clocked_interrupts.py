@@ -13,6 +13,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 from repro.sim.units import NS_PER_MS
 
 LOW_RATE = 500
@@ -24,14 +25,18 @@ def run_matrix():
     rows = {}
     for period_ms in PERIODS_MS:
         config = variants.clocked(poll_interval_ns=int(period_ms * NS_PER_MS))
-        low = run_trial(config, LOW_RATE, **TRIAL_KWARGS)
-        high = run_trial(config, OVERLOAD, **TRIAL_KWARGS)
+        low = run_trial(TrialSpec(config, LOW_RATE, **TRIAL_KWARGS))
+        high = run_trial(TrialSpec(config, OVERLOAD, **TRIAL_KWARGS))
         rows["clocked %.2fms" % period_ms] = (
             low.latency_us["median"],
             high.output_rate_pps,
         )
-    hybrid_low = run_trial(variants.polling(quota=10), LOW_RATE, **TRIAL_KWARGS)
-    hybrid_high = run_trial(variants.polling(quota=10), OVERLOAD, **TRIAL_KWARGS)
+    hybrid_low = run_trial(
+        TrialSpec(variants.polling(quota=10), LOW_RATE, **TRIAL_KWARGS)
+    )
+    hybrid_high = run_trial(
+        TrialSpec(variants.polling(quota=10), OVERLOAD, **TRIAL_KWARGS)
+    )
     rows["hybrid"] = (hybrid_low.latency_us["median"], hybrid_high.output_rate_pps)
     return rows
 

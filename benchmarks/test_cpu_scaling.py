@@ -12,7 +12,9 @@ the livelock *shape* persists at every speed.
 from conftest import TRIAL_KWARGS
 
 from repro.core import variants
-from repro.experiments.harness import run_sweep, sweep_series
+from repro.experiments import run_trials
+from repro.experiments.harness import sweep_series
+from repro.experiments.spec import TrialSpec
 from repro.kernel.costs import DEFAULT_COSTS
 from repro.metrics import estimate_mlfrr, peak_rate
 
@@ -23,8 +25,9 @@ def run_scaling():
     rows = {}
     for factor in (1.0, 0.5, 2.0):
         costs = DEFAULT_COSTS.scaled(factor)
+        config = variants.unmodified(costs=costs)
         series = sweep_series(
-            run_sweep(variants.unmodified(costs=costs), RATES, **TRIAL_KWARGS)
+            run_trials([TrialSpec(config, rate, **TRIAL_KWARGS) for rate in RATES])
         )
         rows[factor] = series
     return rows

@@ -11,6 +11,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 OVERLOAD = 12_000
 
@@ -22,9 +23,9 @@ def run_matrix():
         ("polling q=10", variants.polling(quota=10)),
         ("polling + limit 50%", variants.polling(quota=10, cycle_limit=0.5)),
     ):
-        trial = run_trial(
+        trial = run_trial(TrialSpec(
             config, OVERLOAD, with_compute=True, **TRIAL_KWARGS
-        )
+        ))
         rows[label] = (trial.output_rate_pps, trial.user_cpu_share)
     return rows
 

@@ -13,7 +13,9 @@ pathology is structural, not an artifact of one implementation choice.
 from conftest import BENCH_RATES, TRIAL_KWARGS
 
 from repro.core import variants
-from repro.experiments.harness import run_sweep, sweep_series
+from repro.experiments import run_trials
+from repro.experiments.harness import sweep_series
+from repro.experiments.spec import TrialSpec
 from repro.kernel.config import IP_LAYER_SOFTIRQ, IP_LAYER_THREAD
 from repro.metrics import estimate_mlfrr, is_livelock_free, peak_rate
 
@@ -23,7 +25,9 @@ def run_both():
     for mode in (IP_LAYER_SOFTIRQ, IP_LAYER_THREAD):
         config = variants.unmodified(ip_layer_mode=mode)
         series[mode] = sweep_series(
-            run_sweep(config, BENCH_RATES, **TRIAL_KWARGS)
+            run_trials(
+                [TrialSpec(config, rate, **TRIAL_KWARGS) for rate in BENCH_RATES]
+            )
         )
     return series
 

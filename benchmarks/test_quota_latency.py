@@ -14,6 +14,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 RATE = 3_500  # below MLFRR: no drops, latency is the story
 QUOTAS = (5, 20, 100)
@@ -22,13 +23,13 @@ QUOTAS = (5, 20, 100)
 def run_latency_sweep():
     stats = {}
     for quota in QUOTAS:
-        trial = run_trial(
+        trial = run_trial(TrialSpec(
             variants.polling(quota=quota),
             RATE,
             workload="bursty",
             burst_size=32,
             **TRIAL_KWARGS,
-        )
+        ))
         stats[quota] = trial.latency_us
     return stats
 

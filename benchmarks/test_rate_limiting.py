@@ -15,6 +15,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 RATES = (4_000, 8_000, 12_000)
 
@@ -27,7 +28,7 @@ def run_matrix():
         ("polling q=10", variants.polling(quota=10)),
     ):
         rows[label] = [
-            run_trial(config, rate, **TRIAL_KWARGS).output_rate_pps
+            run_trial(TrialSpec(config, rate, **TRIAL_KWARGS)).output_rate_pps
             for rate in RATES
         ]
     return rows

@@ -15,6 +15,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 from repro.experiments.topology import Router
 
 OVERLOAD = 8_000
@@ -27,7 +28,7 @@ def run_pair():
             output_queue_policy=policy
         )
         router = Router(config)
-        trial = run_trial(config, OVERLOAD, router=router, **TRIAL_KWARGS)
+        trial = run_trial(TrialSpec(config, OVERLOAD, **TRIAL_KWARGS), router=router)
         rows[policy] = {
             "output": trial.output_rate_pps,
             "ifqueue_max_depth": router.driver_out.ifqueue.max_depth,

@@ -12,6 +12,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 from repro.experiments.topology import Router
 
 OVERLOAD = 12_000
@@ -20,7 +21,7 @@ OVERLOAD = 12_000
 def run_starvation(quota):
     config = variants.polling(quota=quota)
     router = Router(config)
-    trial = run_trial(config, OVERLOAD, router=router, **TRIAL_KWARGS)
+    trial = run_trial(TrialSpec(config, OVERLOAD, **TRIAL_KWARGS), router=router)
     return trial, router
 
 
@@ -29,7 +30,7 @@ def test_transmit_starvation(benchmark):
         lambda: run_starvation(None), rounds=1, iterations=1
     )
     healthy, _ = run_starvation(10)
-    unmodified = run_trial(variants.unmodified(), OVERLOAD, **TRIAL_KWARGS)
+    unmodified = run_trial(TrialSpec(variants.unmodified(), OVERLOAD, **TRIAL_KWARGS))
 
     print()
     print(

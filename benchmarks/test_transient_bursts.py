@@ -15,6 +15,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 MEAN_RATE = 3_500  # well below both kernels' ~4,700+ capacity
 BURST = 64  # wire-speed burst: exceeds ipintrq (50) but not service+ring
@@ -26,10 +27,10 @@ def run_pair():
         ("unmodified", variants.unmodified()),
         ("polling q=10", variants.polling(quota=10)),
     ):
-        trial = run_trial(
+        trial = run_trial(TrialSpec(
             config, MEAN_RATE, workload="bursty", burst_size=BURST,
             **TRIAL_KWARGS,
-        )
+        ))
         rows[label] = trial
     return rows
 

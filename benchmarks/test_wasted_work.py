@@ -14,6 +14,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 from repro.kernel.costs import DEFAULT_COSTS
 
 OVERLOAD = 12_000
@@ -38,12 +39,14 @@ def wasted_us(trial):
 
 def run_three():
     return {
-        "unmodified": run_trial(variants.unmodified(), OVERLOAD, **TRIAL_KWARGS),
+        "unmodified": run_trial(
+            TrialSpec(variants.unmodified(), OVERLOAD, **TRIAL_KWARGS)
+        ),
         "polling quota=10": run_trial(
-            variants.polling(quota=10), OVERLOAD, **TRIAL_KWARGS
+            TrialSpec(variants.polling(quota=10), OVERLOAD, **TRIAL_KWARGS)
         ),
         "polling no quota": run_trial(
-            variants.polling(quota=None), OVERLOAD, **TRIAL_KWARGS
+            TrialSpec(variants.polling(quota=None), OVERLOAD, **TRIAL_KWARGS)
         ),
     }
 

@@ -1163,12 +1163,14 @@ fastcore_cancel(FastCoreObject *self, PyObject *handle)
 }
 
 static PyObject *
-fastcore_run(FastCoreObject *self, PyObject *args)
+fastcore_run(FastCoreObject *self, PyObject *args, PyObject *kwargs)
 {
+    static char *kwlist[] = {"until", NULL};
     PyObject *until_obj = Py_None;
     long long deadline = 0;
     int has_deadline = 0, rc;
-    if (!PyArg_ParseTuple(args, "|O:run", &until_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O:run", kwlist,
+                                     &until_obj))
         return NULL;
     if (until_obj != Py_None) {
         if (as_ns(until_obj, &deadline) < 0)
@@ -1212,7 +1214,7 @@ fastcore_run_for(FastCoreObject *self, PyObject *arg)
     Py_DECREF(until);
     if (tuple == NULL)
         return NULL;
-    out = fastcore_run(self, tuple);
+    out = fastcore_run(self, tuple, NULL);
     Py_DECREF(tuple);
     return out;
 }
@@ -6435,8 +6437,8 @@ static PyMethodDef fastcore_methods[] = {
      "first_delay=None) -> PeriodicEvent"},
     {"cancel", (PyCFunction)fastcore_cancel, METH_O,
      "Cancel a pending event (or a PeriodicEvent handle)."},
-    {"run", (PyCFunction)fastcore_run, METH_VARARGS,
-     "run(until=None) -> now"},
+    {"run", (PyCFunction)(void (*)(void))fastcore_run,
+     METH_VARARGS | METH_KEYWORDS, "run(until=None) -> now"},
     {"run_for", (PyCFunction)fastcore_run_for, METH_O,
      "run_for(duration) -> now"},
     {"step", (PyCFunction)fastcore_step, METH_NOARGS,

@@ -186,8 +186,8 @@ def _canonical_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
     name and the equivalent FaultPlan object address the same entry.
 
     The ``backend`` kwarg is stripped entirely: the pure and fast cores
-    are bit-identical by contract (enforced by the backend parity tests
-    and ``scripts/bench_fastcore.py``), so a cached result is valid for
+    are bit-identical by contract (enforced by the backend parity
+    tests), so a cached result is valid for
     either and the same trial must hash to the same entry under both —
     ``TrialResult.backend`` records which core actually computed it.
     """

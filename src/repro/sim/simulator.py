@@ -38,8 +38,8 @@ Structure (this module is the hot path of every experiment):
   in order, and within a bucket the heap yields exact ``(time, seq)``
   order, so the global firing order is identical to a single binary
   heap's. Trial results are bit-identical to the old ``heapq`` core
-  (proven against the committed golden fixture and by
-  ``scripts/bench_wheel.py``, which re-runs the frozen heap loop).
+  (proven against the committed golden fixture, which predates the
+  wheel).
 * **Tombstones** — cancelled events are skipped when the drain reaches
   them (bucket load, heap pop, or overflow refill). The queue is also
   *compacted in place* whenever tombstones outnumber live events, so
@@ -332,8 +332,7 @@ class Simulator:
         # pending events (each queued once) plus tombstones, and pending
         # is itself counter arithmetic, so the trigger is four int ops —
         # the len() sums this used to compute per cancel were the
-        # bottleneck of the 200k-cancel storm (BENCH_wheel cancel_storm
-        # at 0.812x vs the frozen heap before this was inlined).
+        # bottleneck of a 200k-cancel storm.
         tombs = self._tombstones + 1
         self._tombstones = tombs
         total = self._seq - self._fired - self._cancelled + tombs

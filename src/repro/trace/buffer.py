@@ -12,8 +12,7 @@ Cost model (the same discipline as the fault seams, ``repro.faults``):
 
 * **Disarmed** (the default): every instrumented component carries a
   ``trace`` attribute that is ``None``; each hook is a single attribute
-  load plus an ``is None`` test. ``scripts/bench_trace.py`` freezes the
-  hook-free hot path in-script and gates the disarmed overhead.
+  load plus an ``is None`` test.
 * **Armed**: one preallocated Python list of ``capacity`` slots, reused
   as a ring — tracing a trial never grows memory with trial length.
   Each record is a 5-tuple ``(t_ns, kind, site_id, a, b)``; site names

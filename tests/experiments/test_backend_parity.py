@@ -31,6 +31,8 @@ from repro.sim.backend import make_simulator, resolve_backend
 from repro.sim.simulator import Simulator
 from repro.trace.buffer import TraceBuffer
 
+from ..cores import needs_corec
+
 DRIVERS = {
     "unmodified": variants.unmodified,
     "polling": variants.polling,
@@ -47,13 +49,6 @@ MACHINES = {
     MachineSpec(cores=4, steering=STEERING_RSS, isolate_polling=True): "-smp4",
 }
 TIMING = dict(duration_s=0.05, warmup_s=0.02)
-
-#: Without ``_corec``, ``backend="fast"`` builds the pure oracle, so a
-#: fast-vs-pure test would only compare the oracle with itself.
-needs_corec = pytest.mark.skipif(
-    FASTCORE_KIND != "fast-c",
-    reason="without _corec, backend=fast is the pure oracle",
-)
 
 MATRIX = [
     (driver, plan, trace, machine)
@@ -141,6 +136,23 @@ def test_golden_fixture_pinned_to_fast_backend(variant, workload, rate, seed):
     ))
     assert result.backend == FASTCORE_KIND
     assert _comparable(result) == GOLDEN["%s|%s|%d|%d" % (variant, workload, rate, seed)]
+
+
+#: The golden fixture's bursty cells use the default 32-packet bursts;
+#: these two drivers also run 16-packet bursts at overload.
+BURSTY_16 = ["unmodified", "polling"]
+
+
+@needs_corec
+@pytest.mark.parametrize("driver", BURSTY_16)
+def test_bursty_16_at_overload_bit_identical(driver):
+    kwargs = dict(TIMING, seed=0, workload="bursty", burst_size=16)
+    pure = run_trial(TrialSpec.from_kwargs(DRIVERS[driver](), 12_000,
+                                           backend="pure", **kwargs))
+    fast = run_trial(TrialSpec.from_kwargs(DRIVERS[driver](), 12_000,
+                                           backend="fast", **kwargs))
+    assert fast.backend == FASTCORE_KIND
+    assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
 ADVERSARIAL = [

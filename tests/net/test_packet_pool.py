@@ -1,7 +1,11 @@
-"""Unit tests for the packet recycling pool."""
+"""Tests for the packet recycling pool, alone and over a whole trial."""
 
 import pytest
 
+from repro.core import variants
+from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
+from repro.experiments.topology import Router
 from repro.net.packet import Packet, PacketPool
 
 
@@ -88,3 +92,18 @@ def test_disabled_pool_from_construction():
 def test_negative_cap_rejected():
     with pytest.raises(ValueError):
         PacketPool(max_free=-1)
+
+
+def test_pool_stays_within_ring_capacity_over_a_whole_trial():
+    """Over a polling trial at overload, live packets are bounded by the
+    rings and queues, so the pool allocates at most what the two rings
+    hold (plus a margin) and recycles everything else."""
+    config = variants.polling()
+    router = Router(config)
+    spec = TrialSpec(config, 12_000, duration_s=0.3, warmup_s=0.05, seed=0)
+    result = run_trial(spec, router=router)
+    pool = router.packet_pool
+    bound = config.rx_ring_capacity + config.tx_ring_capacity + 128
+    assert result.generated > bound
+    assert pool.allocated <= bound
+    assert pool.free_count <= pool.max_free

@@ -75,11 +75,11 @@ def test_pending_counter_exact_with_step_and_peek():
 # Tombstone compaction
 # ----------------------------------------------------------------------
 
-def test_heap_compacts_when_cancelled_events_dominate():
+def test_heap_compacts_when_cancelled_events_dominate(make_sim):
     """Regression: events cancelled long before their fire time used to
     sit in the heap until the clock reached them — a cancellation-heavy
     run grew the heap without bound."""
-    sim = Simulator()
+    sim = make_sim()
     # Far-future timers, all cancelled immediately; reclamation must not
     # wait for t=10^9.
     timers = [sim.schedule(1_000_000_000 + i, lambda: None) for i in range(10_000)]
@@ -90,10 +90,10 @@ def test_heap_compacts_when_cancelled_events_dominate():
     assert sim.stats["heap_size"] < _COMPACT_MIN_HEAP
 
 
-def test_heap_stays_bounded_with_continuous_cancellation():
+def test_heap_stays_bounded_with_continuous_cancellation(make_sim):
     """The CPU-model pattern: schedule a completion, cancel it on
     preemption, reschedule. The heap must stay ~O(live events)."""
-    sim = Simulator()
+    sim = make_sim()
     live = 50
     events = [sim.schedule(1_000_000 + i, lambda: None) for i in range(live)]
     for round_no in range(200):
@@ -107,8 +107,8 @@ def test_heap_stays_bounded_with_continuous_cancellation():
     assert sim.stats["fired"] == live
 
 
-def test_compaction_preserves_firing_order():
-    sim = Simulator()
+def test_compaction_preserves_firing_order(make_sim):
+    sim = make_sim()
     fired = []
     keep = []
     for i in range(500):
@@ -121,8 +121,8 @@ def test_compaction_preserves_firing_order():
     assert fired == keep
 
 
-def test_small_heaps_are_not_compacted():
-    sim = Simulator()
+def test_small_heaps_are_not_compacted(make_sim):
+    sim = make_sim()
     event = sim.schedule(10, lambda: None)
     sim.cancel(event)
     assert sim.stats["compactions"] == 0
@@ -132,8 +132,8 @@ def test_small_heaps_are_not_compacted():
 # schedule_periodic
 # ----------------------------------------------------------------------
 
-def test_periodic_fires_every_interval():
-    sim = Simulator()
+def test_periodic_fires_every_interval(make_sim):
+    sim = make_sim()
     ticks = []
     sim.schedule_periodic(10, lambda: ticks.append(sim.now))
     sim.run(until=55)
@@ -154,16 +154,16 @@ def test_periodic_reuses_one_event_object():
     assert sim.stats["pending"] == 1
 
 
-def test_periodic_first_delay():
-    sim = Simulator()
+def test_periodic_first_delay(make_sim):
+    sim = make_sim()
     ticks = []
     sim.schedule_periodic(10, lambda: ticks.append(sim.now), first_delay=3)
     sim.run(until=30)
     assert ticks == [3, 13, 23]
 
 
-def test_periodic_cancel_stops_future_fires():
-    sim = Simulator()
+def test_periodic_cancel_stops_future_fires(make_sim):
+    sim = make_sim()
     ticks = []
     handle = sim.schedule_periodic(10, lambda: ticks.append(sim.now))
     sim.run(until=25)
@@ -174,8 +174,8 @@ def test_periodic_cancel_stops_future_fires():
     assert not handle.active
 
 
-def test_periodic_cancel_from_inside_callback():
-    sim = Simulator()
+def test_periodic_cancel_from_inside_callback(make_sim):
+    sim = make_sim()
     ticks = []
     handle = sim.schedule_periodic(
         10, lambda: (ticks.append(sim.now), handle.cancel())
@@ -185,8 +185,8 @@ def test_periodic_cancel_from_inside_callback():
     assert sim.stats["pending"] == 0
 
 
-def test_periodic_interleaves_with_one_shot_events():
-    sim = Simulator()
+def test_periodic_interleaves_with_one_shot_events(make_sim):
+    sim = make_sim()
     order = []
     sim.schedule_periodic(10, order.append, "tick")
     sim.schedule(15, order.append, "once")
@@ -194,8 +194,8 @@ def test_periodic_interleaves_with_one_shot_events():
     assert order == ["tick", "once", "tick", "tick"]
 
 
-def test_periodic_rejects_bad_intervals():
-    sim = Simulator()
+def test_periodic_rejects_bad_intervals(make_sim):
+    sim = make_sim()
     with pytest.raises(SchedulingError):
         sim.schedule_periodic(0, lambda: None)
     with pytest.raises(SchedulingError):

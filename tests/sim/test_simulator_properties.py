@@ -6,8 +6,8 @@ from repro.sim import Simulator
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=200))
-def test_events_fire_in_nondecreasing_time_order(delays):
-    sim = Simulator()
+def test_events_fire_in_nondecreasing_time_order(make_sim, delays):
+    sim = make_sim()
     fired = []
     for delay in delays:
         sim.schedule(delay, lambda: fired.append(sim.now))
@@ -17,8 +17,8 @@ def test_events_fire_in_nondecreasing_time_order(delays):
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=100))
-def test_clock_never_moves_backwards(delays):
-    sim = Simulator()
+def test_clock_never_moves_backwards(make_sim, delays):
+    sim = make_sim()
     observed = []
     for delay in delays:
         sim.schedule(delay, lambda: observed.append(sim.now))
@@ -34,8 +34,8 @@ def test_clock_never_moves_backwards(delays):
         max_size=100,
     )
 )
-def test_cancelled_events_never_fire(spec):
-    sim = Simulator()
+def test_cancelled_events_never_fire(make_sim, spec):
+    sim = make_sim()
     fired = []
     expected = 0
     for delay, keep in spec:
@@ -53,10 +53,10 @@ def test_cancelled_events_never_fire(spec):
     st.integers(min_value=0, max_value=600),
 )
 @settings(max_examples=50)
-def test_run_until_is_a_clean_partition(delays, split):
+def test_run_until_is_a_clean_partition(make_sim, delays, split):
     """Running to a deadline then to completion fires every event exactly
     once, same as a single run."""
-    sim = Simulator()
+    sim = make_sim()
     fired = []
     for delay in delays:
         sim.schedule(delay, lambda d=delay: fired.append(d))
@@ -102,9 +102,9 @@ def test_pending_counter_matches_heap_scan(spec, deadline):
 
 
 @given(st.data())
-def test_nested_scheduling_preserves_order(data):
+def test_nested_scheduling_preserves_order(make_sim, data):
     """Events scheduled from inside callbacks still respect time order."""
-    sim = Simulator()
+    sim = make_sim()
     fired = []
     first_delays = data.draw(
         st.lists(st.integers(min_value=0, max_value=100), max_size=20)

@@ -10,12 +10,7 @@ drained, a periodic handle cancelling itself mid-fire, and a
 cancellation storm that must not grow resident memory.
 """
 
-from repro.sim.simulator import (
-    WHEEL_SHIFT,
-    WHEEL_SLOTS,
-    _COMPACT_MIN_HEAP,
-    Simulator,
-)
+from repro.sim.simulator import WHEEL_SHIFT, WHEEL_SLOTS, _COMPACT_MIN_HEAP
 
 #: One full wheel window in nanoseconds.
 HORIZON = WHEEL_SLOTS << WHEEL_SHIFT
@@ -30,11 +25,11 @@ def _resident(sim):
 # ----------------------------------------------------------------------
 
 
-def test_same_instant_fifo_beyond_the_wheel_horizon():
+def test_same_instant_fifo_beyond_the_wheel_horizon(make_sim):
     """Events for one instant past the horizon start in the overflow
     heap, migrate into a bucket at rollover, and must still fire in
     scheduling order."""
-    sim = Simulator()
+    sim = make_sim()
     order = []
     instant = 3 * HORIZON + 12_345
     for i in range(10):
@@ -47,12 +42,12 @@ def test_same_instant_fifo_beyond_the_wheel_horizon():
     assert sim.now == instant + 1
 
 
-def test_same_instant_group_scheduled_before_and_after_rollover():
+def test_same_instant_group_scheduled_before_and_after_rollover(make_sim):
     """Half a same-instant group is scheduled up front (overflow path);
     the other half is scheduled from a callback after the window has
     jumped (bucket/current-slot path). Global order must still be pure
     seq order."""
-    sim = Simulator()
+    sim = make_sim()
     order = []
     instant = 2 * HORIZON + 777
 
@@ -73,10 +68,10 @@ def test_same_instant_group_scheduled_before_and_after_rollover():
     assert order == list(range(5)) + list(range(5, 10))
 
 
-def test_fifo_preserved_across_many_windows():
+def test_fifo_preserved_across_many_windows(make_sim):
     """A chain that hops whole windows (forcing repeated overflow
     refills) interleaved with same-instant pairs stays deterministic."""
-    sim = Simulator()
+    sim = make_sim()
     log = []
 
     def hop(step):
@@ -105,11 +100,11 @@ def test_fifo_preserved_across_many_windows():
 # ----------------------------------------------------------------------
 
 
-def test_schedule_at_current_instant_from_callback():
+def test_schedule_at_current_instant_from_callback(make_sim):
     """``schedule_at(sim.now)`` from inside a callback is legal and the
     new event fires later within the same instant, after events already
     queued for it."""
-    sim = Simulator()
+    sim = make_sim()
     order = []
 
     def first():
@@ -123,8 +118,8 @@ def test_schedule_at_current_instant_from_callback():
     assert sim.now == 50
 
 
-def test_zero_delay_chain_makes_progress_without_advancing_clock():
-    sim = Simulator()
+def test_zero_delay_chain_makes_progress_without_advancing_clock(make_sim):
+    sim = make_sim()
     count = [0]
 
     def again():
@@ -143,8 +138,8 @@ def test_zero_delay_chain_makes_progress_without_advancing_clock():
 # ----------------------------------------------------------------------
 
 
-def test_periodic_cancel_from_inside_its_own_callback():
-    sim = Simulator()
+def test_periodic_cancel_from_inside_its_own_callback(make_sim):
+    sim = make_sim()
     fires = []
     handle = None
 
@@ -163,8 +158,8 @@ def test_periodic_cancel_from_inside_its_own_callback():
     assert handle.cancel() is False  # idempotent
 
 
-def test_periodic_cancel_via_simulator_cancel_mid_run():
-    sim = Simulator()
+def test_periodic_cancel_via_simulator_cancel_mid_run(make_sim):
+    sim = make_sim()
     fires = []
     handle = sim.schedule_periodic(100, lambda: fires.append(sim.now))
     sim.schedule(250, lambda: sim.cancel(handle))
@@ -178,12 +173,11 @@ def test_periodic_cancel_via_simulator_cancel_mid_run():
 # ----------------------------------------------------------------------
 
 
-def test_cancellation_storm_memory_is_bounded():
-    """200k timers cancelled long before their fire time (the
-    bench_wheel storm, as an assertion): in-place compaction must keep
-    the resident queue near zero instead of retaining every tombstone
-    until the clock reaches it."""
-    sim = Simulator()
+def test_cancellation_storm_memory_is_bounded(make_sim):
+    """200k timers cancelled long before their fire time: in-place
+    compaction must keep the resident queue near zero instead of
+    retaining every tombstone until the clock reaches it."""
+    sim = make_sim()
     timers = 200_000
     events = [
         sim.schedule_at(10**9 + i, lambda: None) for i in range(timers)
@@ -207,10 +201,10 @@ def test_cancellation_storm_memory_is_bounded():
     assert fired == ["alive"]
 
 
-def test_cancel_storm_interleaved_with_live_traffic():
+def test_cancel_storm_interleaved_with_live_traffic(make_sim):
     """Cancel 4 of every 5 timers while a live chain drains: the
     survivors all fire, in order, and cancelled ones never do."""
-    sim = Simulator()
+    sim = make_sim()
     fired = []
     doomed = []
     for i in range(5_000):
@@ -230,8 +224,8 @@ def test_cancel_storm_interleaved_with_live_traffic():
 # ----------------------------------------------------------------------
 
 
-def test_stats_reports_wheel_overflow_and_slab():
-    sim = Simulator()
+def test_stats_reports_wheel_overflow_and_slab(make_sim):
+    sim = make_sim()
     sim.schedule(100, lambda: None)                # near: wheel bucket
     sim.schedule(5 * HORIZON, lambda: None)        # far: overflow heap
     stats = sim.stats
