@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from ..sim.probes import TimeSeries
 from ..sim.simulator import Simulator
+from .stats import mean
 
 
 class DepthSampler:
@@ -73,7 +74,7 @@ class DepthSampler:
 
     def mean_depth(self) -> float:
         values = self.series.values()
-        return sum(values) / len(values) if values else 0.0
+        return mean(values) if values else 0.0
 
     def oscillations(self, high: float, low: float) -> int:
         """Count full high->low cycles (feedback saw-tooth periods)."""

@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum(values)``, added strictly left to right.
+
+    From Python 3.12 the builtin ``sum()`` compensates float rounding,
+    so a mean would differ in its last digits from the same mean on
+    3.11 and earlier, and every result checksum with it. This loop is
+    what ``sum()`` did before 3.12, so results match on every version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)
 
 
 def variance(values: Sequence[float]) -> float:
@@ -17,7 +31,7 @@ def variance(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("variance of empty sequence")
     mu = mean(values)
-    return sum((v - mu) ** 2 for v in values) / len(values)
+    return ordered_sum((v - mu) ** 2 for v in values) / len(values)
 
 
 def stddev(values: Sequence[float]) -> float:
@@ -55,7 +69,7 @@ def jitter(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    return sum(diffs) / len(diffs)
+    return ordered_sum(diffs) / len(diffs)
 
 
 def summarize(values: Sequence[float]) -> dict:

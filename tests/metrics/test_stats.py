@@ -15,6 +15,13 @@ def test_mean():
     assert mean([1, 2, 3]) == 2.0
 
 
+def test_mean_adds_left_to_right_on_every_python():
+    """1e16 + 1.0 rounds back to 1e16, so a left-to-right sum is 0.0.
+    A compensated sum (the builtin ``sum()`` from Python 3.12) gives 1.0;
+    results must not depend on the interpreter."""
+    assert mean([1e16, 1.0, -1e16]) == 0.0
+
+
 def test_empty_rejected():
     for fn in (mean, median, variance, stddev):
         with pytest.raises(ValueError):
