@@ -645,6 +645,9 @@ static int prof_enabled = 0;
 static double prof_run_s = 0.0;
 static double prof_py_s = 0.0;
 static long long prof_py_calls = 0;
+/* 1 while a timed Python frame runs: only the outermost one is timed,
+ * so compiled entries it calls that resume more Python count once. */
+static int prof_py_depth = 0;
 
 static double
 prof_now(void)
@@ -659,12 +662,14 @@ fire_call(PyObject *callback, PyObject *args)
 {
     double t0;
     PyObject *res;
-    if (!prof_enabled || PyCFunction_Check(callback))
+    if (!prof_enabled || prof_py_depth || PyCFunction_Check(callback))
         return PyObject_Call(callback, args, NULL);
+    prof_py_depth = 1;
     t0 = prof_now();
     res = PyObject_Call(callback, args, NULL);
     prof_py_s += prof_now() - t0;
     prof_py_calls += 1;
+    prof_py_depth = 0;
     return res;
 }
 
@@ -1442,7 +1447,7 @@ fastcore_repr(FastCoreObject *self)
 /* ================================================================== */
 /* Compiled transliteration of the steady-state per-packet pipeline:
  * the CPU engine (hw/cpu.py + sim/process.py deliver loop), NIC ring
- * ops (hw/nic.py), kernel queues incl. RED (kernel/queues.py), the
+ * ops (hw/nic.py), kernel queues (kernel/queues.py), the
  * traffic generators, IP forwarding and the driver output hooks.
  *
  * Architecture: each hot Python *method* is transliterated to a C
@@ -1471,47 +1476,49 @@ fastcore_repr(FastCoreObject *self)
     X(sim) X(hz) X(name) X(context_switch_cycles) X(_remaining) \
     X(_current) X(_completion) X(_chunk_started) X(_seq) X(_last_thread) \
     X(busy_ns) X(switches) X(preemptions) X(ipl_observers) \
-    X(account_observers) X(trace) X(_complete) X(task) X(deliver) \
-    X(cpu) X(base_ipl) X(spl_level) X(priority_class) X(cycles_used) \
+    X(account_observers) X(trace) X(_complete) X(deliver) X(cpu) \
+    X(base_ipl) X(spl_level) X(priority_class) X(cycles_used) \
     X(_ready_seq) X(_eff_ipl) X(_key) X(_work_label) X(state) X(_body) \
     X(_waiting_on) X(_exit_callbacks) X(exception) X(add_waiter) \
-    X(_rx_ring) X(_tx_ring) X(_tx_done) X(_tx_busy) X(rx_line) \
-    X(tx_line) X(faults) X(on_transmit) X(rx_ring_capacity) \
-    X(tx_ring_capacity) X(tx_packet_time_ns) X(_rx_append) X(_rx_popleft) \
-    X(rx_accepted) X(rx_overflow_drops) X(tx_completed) X(request) \
-    X(_transmit_complete) X(_kick_transmitter) X(_items) X(limit) \
+    X(_rx_ring) X(_tx_ring) X(_tx_done) X(_tx_busy) X(rx_line) X(tx_line) \
+    X(faults) X(on_transmit) X(rx_ring_capacity) X(tx_ring_capacity) \
+    X(tx_packet_time_ns) X(rx_accepted) X(rx_overflow_drops) \
+    X(tx_completed) X(request) X(_transmit_complete) X(_items) X(limit) \
     X(high_watermark) X(low_watermark) X(on_high) X(on_low) \
     X(enqueue_count) X(dequeue_count) X(drop_count) X(max_depth) \
-    X(_enqueued) X(_dequeued) X(_dropped) X(average) X(weight) \
-    X(min_threshold) X(max_threshold) X(max_probability) X(early_drops) \
-    X(_since_last_drop) X(_rng) X(random) X(enqueue) X(dequeue) \
-    X(started) X(stopped) X(sent) X(_pending) X(_tick) X(_emit) \
-    X(pool) X(src) X(dst) X(dst_port) X(payload_bytes) X(flow) \
-    X(min_interval_ns) X(interval_ns) X(jitter_fraction) X(rng) \
-    X(mean_interval_ns) X(burst_size) X(gap_ns) X(_burst_position) \
-    X(_receive_from_wire) X(_gap_over) X(nic) X(wire) \
+    X(_enqueued) X(_dequeued) X(_dropped) X(random) X(enqueue) X(dequeue) \
+    X(sent) X(_pending) X(_tick) X(pool) X(src) X(dst) X(dst_port) \
+    X(payload_bytes) X(flow) X(min_interval_ns) X(interval_ns) \
+    X(jitter_fraction) X(rng) X(mean_interval_ns) X(burst_size) X(gap_ns) \
+    X(_burst_position) X(_receive_from_wire) X(_gap_over) X(nic) \
     X(routing) X(arp) X(outputs) X(taps) X(screen_path) X(udp) \
-    X(local_addresses) X(forwarded) X(local_delivered) X(no_route_drops) \
-    X(arp_failure_drops) X(lookups) X(misses) X(failures) X(_routes) \
-    X(_entries) X(ifqueue) X(tx_service_needed) X(polling) X(wake) \
-    X(ipintrq) X(softnet_line) X(netisr_signal) X(fire) \
-    X(delivered) X(latency) X(packet_pool) X(nic_out) X(_samples_ns) \
-    X(_observed) X(_recording) X(sample_cap) X(enabled) X(requested) \
-    X(in_service) X(request_count) X(dispatch_count) \
-    X(suppressed_while_disabled) X(controller) X(ipl) X(try_deliver) \
-    X(observe) X(tx_idle) \
-    X(_softnet_line) X(_netisr_signal) X(mark_dropped) X(mark_transmitted) \
-    X(_pp_irq) X(lines) X(_on_ipl_change) X(_dispatch_work) X(in_flight) \
-    X(quota) X(service_rounds) X(rx_packets_processed) \
-    X(tx_packets_started) X(extra_rx_cycles) X(rx_service_needed) \
-    X(costs) X(kernel) X(config) X(rx_batch_pull) X(_tx_start_work) \
-    X(_forward_work) X(ip) X(ip_input) X(_dispatch) X(rx_pull) \
-    X(rx_pull_many) X(rx_pending) X(tx_reclaim) X(tx_enqueue) \
-    X(tx_free_slots) X(rx_device_per_packet) X(softirq_post) \
-    X(tx_reclaim_per_packet) X(polled_rx_per_packet) X(polled_stub_handler) \
-    X(ticks) X(on_tick) X(callout_table) X(due) X(func) X(executed) \
-    X(clock_tick) X(callout_run) X(_rotate_quantum) X(record) \
-    X(packet_drop) X(packet_deliver)
+    X(local_addresses) X(forwarded) X(no_route_drops) X(arp_failure_drops) \
+    X(lookups) X(misses) X(failures) X(_routes) X(_entries) X(ifqueue) \
+    X(tx_service_needed) X(polling) X(ipintrq) X(delivered) X(latency) \
+    X(packet_pool) X(nic_out) X(_samples_ns) X(_observed) X(_recording) \
+    X(sample_cap) X(enabled) X(requested) X(in_service) X(request_count) \
+    X(dispatch_count) X(suppressed_while_disabled) X(controller) X(ipl) \
+    X(try_deliver) X(_softnet_line) X(_netisr_signal) X(mark_dropped) \
+    X(mark_transmitted) X(_pp_irq) X(lines) X(_on_ipl_change) \
+    X(_dispatch_work) X(in_flight) X(quota) X(service_rounds) \
+    X(rx_packets_processed) X(tx_packets_started) X(extra_rx_cycles) \
+    X(rx_service_needed) X(costs) X(kernel) X(config) X(rx_batch_pull) \
+    X(_tx_start_work) X(_forward_work) X(ip) X(ip_input) X(_dispatch) \
+    X(rx_pull) X(rx_pull_many) X(rx_pending) X(tx_reclaim) X(tx_enqueue) \
+    X(rx_device_per_packet) X(softirq_post) X(tx_reclaim_per_packet) \
+    X(polled_rx_per_packet) X(polled_stub_handler) X(ticks) X(on_tick) \
+    X(callout_table) X(due) X(func) X(executed) X(clock_tick) \
+    X(callout_run) X(_rotate_quantum) X(record) X(packet_drop) \
+    X(packet_deliver) X(input_packet) X(_fires) X(_waiters) X(_signal) \
+    X(_wake_pending) X(wakeups) X(_scheduled) X(napi_schedules) \
+    X(napi_polls) X(coalesce_ns) X(coalesce_max_ns) X(coalesce_grows) \
+    X(coalesce_decays) X(_inhibit_reasons) X(rx_callback_runs) \
+    X(tx_callback_runs) X(devices) X(_rr_index) X(cycle_limiter) \
+    X(poll_loop_overhead) X(poll_device_check) X(cycle_accounting) \
+    X(poll_rounds) X(rx) X(tx) X(used_cycles) X(threshold_cycles) \
+    X(REASON) X(inhibitions) X(inhibit_input) X(poll_interval_ns) \
+    X(_interval_dirty) X(polls) X(idle_polls) X(ipintrq_dequeue) X(cpu_hz) \
+    X(on_idle)
 
 enum {
 #define PP_ENUM(n) PPK_##n,
@@ -1526,7 +1533,7 @@ static PyObject *pp_keys[PPK_COUNT];
 #define PP_KINDS(X) \
     X(IRQ_REQUEST) X(IRQ_DISPATCH) X(IRQ_RETURN) X(CPU_RUN) X(CPU_IDLE) \
     X(RX_ACCEPT) X(RX_OVERFLOW) X(TX_COMPLETE) X(TX_RECLAIM) X(Q_ENQUEUE) \
-    X(Q_DROP) X(QUOTA_EXHAUST) X(PKT_INJECT)
+    X(Q_DROP) X(QUOTA_EXHAUST) X(PKT_INJECT) X(CYCLE_LIMIT)
 
 enum {
 #define PP_KIND_ENUM(n) TK_##n,
@@ -1545,12 +1552,14 @@ static struct {
     PyObject *nic_rx_pull, *nic_rx_pull_many, *nic_rx_pending;
     PyObject *line_request;     /* unbound InterruptLine.request */
     PyObject *ip_dispatch;      /* unbound IPLayer._dispatch */
-    PyObject *router_out_transmit, *router_in_transmit;
+    PyObject *router_out_transmit;
     PyObject *gen_ticks[3];     /* unbound _tick: constant/poisson/bursty */
     PyObject *lat_observe;      /* unbound LatencyRecorder.observe */
     PyObject *Packet;           /* exact packet type */
     PyObject *packet_ids;       /* net.packet._packet_ids (count object) */
     PyObject *CpuTask;          /* hw.cpu.CpuTask type */
+    PyObject *Signal;           /* sim.signals.Signal type */
+    long long min_coalesce_ns;  /* drivers.hybrid.MIN_COALESCE_NS */
     PyObject *ctrl_try_deliver; /* unbound InterruptController method */
     PyObject *kinds[TK_COUNT];  /* trace.buffer record-kind constants */
     PyObject *empty_tuple;
@@ -1851,34 +1860,52 @@ ppctx_new(PyObject *owner, FastCoreObject *sim)
     return ctx;
 }
 
-/* ---- Compiled IRQ dispatch: per-line proto + handler state machine --
+/* ---- Compiled task bodies: proto + state machine ------------------
  *
- * A PPIrq proto is cached on an InterruptLine's instance dict
- * (``line._pp_irq``) by packetpath.install_started. The compiled
- * try_deliver uses it to build the handler CpuTask without entering the
- * interpreter; the task's body is a PPGen — a C state machine that
- * replays the driver's handler generator (including the _handler_body
- * prelude) step for step. Rare branches (taps, screend, corrupted
- * frames) fall back to pumping the real Python ``ip.input_packet``
- * generator, so behaviour stays bit-identical. */
+ * A PPGen is a C state machine with the PyIter_Send calling convention
+ * that replays one Python task body step for step: a driver's IRQ
+ * handler (including the _handler_body prelude), or a kernel thread.
+ *
+ * IRQ handlers: a PPIrq proto is cached on an InterruptLine's instance
+ * dict (``line._pp_irq``) by packetpath.install_started. The compiled
+ * try_deliver uses it to build the handler CpuTask without entering
+ * the interpreter.
+ *
+ * Kernel threads (the polling, NAPI, clocked and netisr threads and
+ * the idle loops): packetpath.install shadows the owner's body factory
+ * per instance (``polling._body`` and so on), so the task spawned in
+ * Router.start runs a PPGen from its first resume.
+ *
+ * Rare branches (taps, screend, corrupted frames) fall back to pumping
+ * the real Python ``ip.input_packet`` generator, so behaviour stays
+ * bit-identical. */
 
-/* Handler kinds (which state machine a PPGen runs). */
+/* Body kinds (which state machine a PPGen runs). */
 enum {
     PPIRQ_BSD_RX,     /* BsdDriver._rx_handler */
     PPIRQ_BSD_TX,     /* BsdDriver._tx_handler */
     PPIRQ_HIGHIPL,    /* HighIplDriver._service_handler (both lines) */
     PPIRQ_POLLED_RX,  /* PolledDriver._rx_stub */
     PPIRQ_POLLED_TX,  /* PolledDriver._tx_stub */
+    PPIRQ_HYBRID_RX,  /* HybridDriver._rx_stub */
+    PPIRQ_HYBRID_TX,  /* HybridDriver._tx_stub */
+    PPIRQ_SOFTNET,    /* ClassicIPInput._softirq_body */
     PPIRQ_CLOCK,      /* Kernel._clock_handler */
+    /* Kernel threads: no line, no dispatch prelude. */
+    PPT_POLL,         /* PollingSystem._body */
+    PPT_NAPI,         /* HybridDriver._napi_body */
+    PPT_CLOCKED,      /* ClockedPollingDriver._poll_body */
+    PPT_NETISR,       /* ClassicIPInput._netisr_body */
+    PPT_IDLE,         /* Kernel._idle_body */
 };
 
 typedef struct {
     PyObject_HEAD
     int kind;
     long long ipl;       /* line.ipl, frozen at proto creation */
-    PyObject *line;      /* the InterruptLine */
-    PyObject *owner;     /* the driver owning the handler */
-    PyObject *cpu;       /* controller.cpu */
+    PyObject *line;      /* the InterruptLine; NULL for a thread */
+    PyObject *owner;     /* the object whose body this is */
+    PyObject *cpu;       /* controller.cpu; NULL for a thread */
     FastCoreObject *sim;
     PyObject *name;       /* "irq:<line.name>" */
     PyObject *work_label; /* "work:irq:<line.name>" */
@@ -1886,17 +1913,36 @@ typedef struct {
     PyObject *done_cb;    /* exit callback implementing _handler_done */
 } PPIrq;
 
+/* Flags of the shared drain sub-state (drivers/base.py drain). */
+enum {
+    DR_IPINTRQ = 1,  /* pull from dev.ipintrq.dequeue, not dev.nic.rx_pull */
+    DR_BATCH = 2,    /* one dev.nic.rx_pull_many(quota) */
+    DR_COUNT = 4,    /* count on dev.rx_packets_processed */
+    DR_BOUND = 8,    /* quota: dr_limit */
+    DR_LIVE = 16,    /* quota: dev.quota, re-read before every packet */
+    DR_GATE = 32,    /* stop when dev.polling inhibits input */
+    DR_ACK = 64,     /* acknowledge the proto's line before every pull */
+};
+
 typedef struct {
     PyObject_HEAD
     PPIrq *proto;
+    PyObject *dev;    /* driver (or IP input) the drain and _tx_service use */
     PyObject *sub;    /* active Python sub-generator (yield-from) */
     PyObject *packet; /* in-flight packet (owned mirror of in_flight) */
-    PyObject *batch;  /* high-IPL pulled batch (owned mirror) */
+    PyObject *batch;  /* pulled batch / due callouts (owned mirror) */
     PyObject *work;   /* reusable Work command (identity unobservable) */
-    long long c1, c2; /* frozen per-dispatch costs (captured like Python) */
-    long long handled, moved, tsq;
-    int state, ip_cont, ts_ret;
-    int tsq_none, batch_pull, captured, closed;
+    PyObject *wait;   /* reusable WaitSignal command, or NULL */
+    PyObject *sleep;  /* reusable Sleep command, or NULL */
+    long long c1, c2, c3; /* costs and periods the Python body holds in
+                             locals, captured at the same resume */
+    long long handled, moved, tsq;  /* handled: NAPI drained, clock index */
+    long long dr_limit, dr_handled, dr_cycles;
+    long long pass_start, offset, count;  /* polling pass */
+    long long quota;  /* NAPI: the quota captured at start, if bounded */
+    int state, ip_cont, ts_ret, dr_flags, dr_ret;
+    int tsq_none, batch_pull, bounded, any_work, hooks, closed;
+    int flag;         /* stub: the service-needed flag it sets */
 } PPGenObject;
 
 static PyTypeObject PPIrq_Type;
@@ -1926,6 +1972,25 @@ PyIter_Send(PyObject *gen, PyObject *value, PyObject **result)
 
 static PySendResult ppgen_send(PPGenObject *g, PyObject *value,
                                PyObject **pres);
+
+/* Resume a Python generator. Under --profile its time goes to the
+ * python bucket, like a Python event callback's (fire_call): compiled
+ * code resuming a Python body is still Python running. */
+static PySendResult
+pp_send_py(PyObject *gen, PyObject *value, PyObject **pres)
+{
+    double t0;
+    PySendResult sr;
+    if (!prof_enabled || prof_py_depth)
+        return PyIter_Send(gen, value, pres);
+    prof_py_depth = 1;
+    t0 = prof_now();
+    sr = PyIter_Send(gen, value, pres);
+    prof_py_s += prof_now() - t0;
+    prof_py_calls += 1;
+    prof_py_depth = 0;
+    return sr;
+}
 
 /* ---------------- symbol initialisation --------------------------- */
 
@@ -2027,9 +2092,8 @@ pp_init_symbols(void)
     if (tmp == NULL)
         return -1;
     pps.router_out_transmit = PyObject_GetAttrString(tmp, "_on_output_transmit");
-    pps.router_in_transmit = PyObject_GetAttrString(tmp, "_on_input_transmit");
     Py_DECREF(tmp);
-    if (pps.router_out_transmit == NULL || pps.router_in_transmit == NULL)
+    if (pps.router_out_transmit == NULL)
         return -1;
     tmp = pp_import_attr("repro.metrics.latency", "LatencyRecorder");
     if (tmp == NULL)
@@ -2113,6 +2177,16 @@ pp_init_symbols(void)
     pps.CpuTask = pp_import_attr("repro.hw.cpu", "CpuTask");
     if (pps.CpuTask == NULL)
         return -1;
+    pps.Signal = pp_import_attr("repro.sim.signals", "Signal");
+    if (pps.Signal == NULL)
+        return -1;
+    tmp = pp_import_attr("repro.drivers.hybrid", "MIN_COALESCE_NS");
+    if (tmp == NULL)
+        return -1;
+    pps.min_coalesce_ns = PyLong_AsLongLong(tmp);
+    Py_DECREF(tmp);
+    if (pps.min_coalesce_ns == -1 && PyErr_Occurred())
+        return -1;
     tmp = pp_import_attr("repro.hw.interrupts", "InterruptController");
     if (tmp == NULL)
         return -1;
@@ -2184,6 +2258,7 @@ pp_record_ll(PyObject *trace, int kind, PyObject *site, long long a)
 /* ---------------- CPU engine (hw/cpu.py, sim/process.py) ---------- */
 
 static PyObject *pp_deliver_impl(PPCtx *ctx, PyObject *value);
+static int pp_deque_push(PyObject *dq, PyObject *item);
 
 /* state comparison: identity first (states are assigned from the
  * module constants), value equality as a safety net. */
@@ -2698,7 +2773,7 @@ pp_deliver_impl(PPCtx *ctx, PyObject *value)
         if (Py_TYPE(body) == &PPGen_Type)
             sr = ppgen_send((PPGenObject *)body, value, &command);
         else
-            sr = PyIter_Send(body, value, &command);
+            sr = pp_send_py(body, value, &command);
         Py_DECREF(body);
         if (sr == PYGEN_RETURN) {
             Py_XDECREF(command);
@@ -2871,6 +2946,15 @@ pp_deliver_impl(PPCtx *ctx, PyObject *value)
             if (sd(task, PPK__waiting_on, signal) < 0) {
                 Py_DECREF(signal);
                 return NULL;
+            }
+            if (Py_TYPE(signal) == (PyTypeObject *)pps.Signal) {
+                /* Signal.add_waiter */
+                PyObject *waiters = gdr(signal, PPK__waiters);
+                int rc = waiters == NULL ? -1 : pp_deque_push(waiters, task);
+                Py_DECREF(signal);
+                if (rc < 0)
+                    return NULL;
+                Py_RETURN_NONE;
             }
             m = PyObject_GetAttr(signal, pp_keys[PPK_add_waiter]);
             Py_DECREF(signal);
@@ -3073,23 +3157,6 @@ pp_bind_deliver(PyObject *task, FastCoreObject *sim)
 }
 
 static PyObject *
-ppf_cpu_add_work(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    long long cycles;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "add_work expects (task, cycles)");
-        return NULL;
-    }
-    cycles = PyLong_AsLongLong(args[1]);
-    if (cycles == -1 && PyErr_Occurred())
-        return NULL;
-    if (pp_add_work(ctx->owner, ctx->sim, args[0], cycles) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 ppf_cpu_requeue(PyObject *self, PyObject *task)
 {
     PPCtx *ctx = (PPCtx *)self;
@@ -3113,59 +3180,6 @@ ppf_cpu_requeue(PyObject *self, PyObject *task)
         sll(task, PPK__ready_seq, seq + 1) < 0 ||
         pp_refresh_key(task) < 0 ||
         pp_reschedule(cpu, ctx->sim) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ppf_cpu_ipl_changed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    long long old_ipl, eff;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "on_task_ipl_changed expects (task, old_ipl)");
-        return NULL;
-    }
-    old_ipl = PyLong_AsLongLong(args[1]);
-    if (old_ipl == -1 && PyErr_Occurred())
-        return NULL;
-    if (pp_reschedule(ctx->owner, ctx->sim) < 0)
-        return NULL;
-    if (gll(args[0], PPK__eff_ipl, &eff) < 0)
-        return NULL;
-    if (eff < old_ipl && pp_notify_ipl(ctx->owner) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ppf_cpu_remove(PyObject *self, PyObject *task)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    PyObject *cpu = ctx->owner;
-    PyObject *current, *remaining;
-    int has;
-    current = gd(cpu, PPK__current);
-    if (current == NULL && PyErr_Occurred())
-        return NULL;
-    if (task == current) {
-        if (pp_stop_current(cpu, ctx->sim, 1) < 0)
-            return NULL;
-    }
-    remaining = gd(cpu, PPK__remaining);
-    if (remaining == NULL || !PyDict_Check(remaining)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_AttributeError,
-                            "packetpath: _remaining missing");
-        return NULL;
-    }
-    has = PyDict_Contains(remaining, task);
-    if (has < 0)
-        return NULL;
-    if (has && PyDict_DelItem(remaining, task) < 0)
-        return NULL;
-    if (pp_reschedule(cpu, ctx->sim) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3197,16 +3211,8 @@ ppf_cpu_task(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     return task;
 }
 
-static PyMethodDef def_cpu_add_work = {
-    "add_work", (PyCFunction)(void (*)(void))ppf_cpu_add_work,
-    METH_FASTCALL, NULL};
 static PyMethodDef def_cpu_requeue = {
     "requeue_behind", (PyCFunction)ppf_cpu_requeue, METH_O, NULL};
-static PyMethodDef def_cpu_ipl_changed = {
-    "on_task_ipl_changed", (PyCFunction)(void (*)(void))ppf_cpu_ipl_changed,
-    METH_FASTCALL, NULL};
-static PyMethodDef def_cpu_remove = {
-    "remove_task", (PyCFunction)ppf_cpu_remove, METH_O, NULL};
 static PyMethodDef def_cpu_complete = {
     "_complete", (PyCFunction)ppf_cpu_complete, METH_O, NULL};
 static PyMethodDef def_cpu_task = {
@@ -3225,18 +3231,6 @@ gdbl(PyObject *obj, int key, double *out)
     if (*out == -1.0 && PyErr_Occurred())
         return -1;
     return 0;
-}
-
-static int
-sdbl(PyObject *obj, int key, double value)
-{
-    PyObject *v = PyFloat_FromDouble(value);
-    int rc;
-    if (v == NULL)
-        return -1;
-    rc = sd(obj, key, v);
-    Py_DECREF(v);
-    return rc;
 }
 
 static int
@@ -3283,6 +3277,82 @@ pp_deque_pop_left(PyObject *dq)
     PyObject *stack[1];
     stack[0] = dq;
     return PyObject_Vectorcall(pps.deque_popleft, stack, 1, NULL);
+}
+
+/* Signal.fire(): wake every waiter through a zero-delay deliver event,
+ * in FIFO order, labelled like the Python body's. */
+static int
+pp_signal_fire(PyObject *signal, FastCoreObject *sim)
+{
+    PyObject *waiters, *label = NULL;
+    long long fires;
+    int rc = -1;
+    if (gll(signal, PPK__fires, &fires) < 0 ||
+        sll(signal, PPK__fires, fires + 1) < 0)
+        return -1;
+    waiters = gdr(signal, PPK__waiters);
+    if (waiters == NULL)
+        return -1;
+    Py_INCREF(waiters);
+    for (;;) {
+        Py_ssize_t n = PyObject_Size(waiters);
+        PyObject *proc, *dfn, *args, *ev;
+        if (n < 0)
+            goto done;
+        if (n == 0)
+            break;
+        proc = pp_deque_pop_left(waiters);
+        if (proc == NULL)
+            goto done;
+        dfn = PyObject_GetAttr(proc, pp_keys[PPK_deliver]);
+        Py_DECREF(proc);
+        if (dfn == NULL)
+            goto done;
+        if (label == NULL) {
+            PyObject *name = gdr(signal, PPK_name);
+            label = name ? PyUnicode_FromFormat("wake:%U", name) : NULL;
+            if (label == NULL) {
+                Py_DECREF(dfn);
+                goto done;
+            }
+        }
+        args = PyTuple_Pack(1, Py_None);
+        if (args == NULL) {
+            Py_DECREF(dfn);
+            goto done;
+        }
+        ev = schedule_common(sim, 0, dfn, args, label);
+        Py_DECREF(dfn);
+        if (ev == NULL)
+            goto done;
+        Py_DECREF(ev);
+    }
+    rc = 0;
+done:
+    Py_XDECREF(label);
+    Py_DECREF(waiters);
+    return rc;
+}
+
+/* PollingSystem.wake and HybridDriver._schedule: unless ``flag`` is
+ * already set, set it, count the wake-up and fire the signal. */
+static int
+pp_kick(PyObject *obj, int flag, int counter, FastCoreObject *sim)
+{
+    PyObject *v = gdr(obj, flag), *ctr, *sig;
+    int t;
+    if (v == NULL)
+        return -1;
+    t = PyObject_IsTrue(v);
+    if (t != 0)
+        return t < 0 ? -1 : 0;
+    if (sd(obj, flag, Py_True) < 0)
+        return -1;
+    ctr = gdr(obj, counter);
+    if (ctr == NULL || counter_inc(ctr, 1) < 0)
+        return -1;
+    sig = gdr(obj, PPK__signal);
+    return sig == NULL ? -1 : pp_signal_fire(sig, sim);
 }
 
 /* item.mark_dropped(where) with the Python body's hasattr() semantics:
@@ -3796,25 +3866,6 @@ ppf_nic_rx_pending(PyObject *self, PyObject *noarg)
 }
 
 static PyObject *
-ppf_nic_tx_free(PyObject *self, PyObject *noarg)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    PyObject *nic = ctx->owner;
-    PyObject *ring = gdr(nic, PPK__tx_ring);
-    long long cap;
-    Py_ssize_t sz;
-    (void)noarg;
-    if (ring == NULL)
-        return NULL;
-    sz = PyObject_Size(ring);
-    if (sz < 0)
-        return NULL;
-    if (gll(nic, PPK_tx_ring_capacity, &cap) < 0)
-        return NULL;
-    return PyLong_FromLongLong(cap - (long long)sz);
-}
-
-static PyObject *
 ppf_nic_tx_done(PyObject *self, PyObject *noarg)
 {
     PPCtx *ctx = (PPCtx *)self;
@@ -3981,100 +4032,6 @@ ppf_pq_dequeue(PyObject *self, PyObject *noarg)
 {
     (void)noarg;
     return pp_pq_dequeue_body(((PPCtx *)self)->owner);
-}
-
-static PyObject *
-ppf_red_enqueue(PyObject *self, PyObject *item)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    PyObject *q = ctx->owner;
-    PyObject *items, *trace;
-    double avg, w, navg, minth, maxth;
-    long long since;
-    Py_ssize_t sz;
-    int drop = 0, rc;
-    items = gdr(q, PPK__items);
-    if (items == NULL)
-        return NULL;
-    sz = PyObject_Size(items);
-    if (sz < 0)
-        return NULL;
-    if (gdbl(q, PPK_average, &avg) < 0 || gdbl(q, PPK_weight, &w) < 0)
-        return NULL;
-    navg = (1.0 - w) * avg + w * (double)sz;
-    if (sdbl(q, PPK_average, navg) < 0)
-        return NULL;
-    if (gdbl(q, PPK_min_threshold, &minth) < 0 ||
-        gdbl(q, PPK_max_threshold, &maxth) < 0)
-        return NULL;
-    if (gll(q, PPK__since_last_drop, &since) < 0)
-        return NULL;
-    if (navg >= maxth)
-        drop = 1;
-    else if (navg >= minth) {
-        double span = maxth - minth;
-        double maxp, base, denom, prob, r;
-        if (gdbl(q, PPK_max_probability, &maxp) < 0)
-            return NULL;
-        if (span == 0.0) {
-            PyErr_SetString(PyExc_ZeroDivisionError,
-                            "float division by zero");
-            return NULL;
-        }
-        base = maxp * (navg - minth) / span;
-        denom = 1.0 - (double)since * base;
-        if (denom < 1e-9)
-            denom = 1e-9;
-        prob = base / denom;
-        if (prob > 1.0)
-            prob = 1.0;
-        if (pp_rng_random(ctx, PPK__rng, &r) < 0)
-            return NULL;
-        drop = r < prob;
-    }
-    if (drop) {
-        long long v;
-        PyObject *c;
-        if (gll(q, PPK_early_drops, &v) < 0 ||
-            sll(q, PPK_early_drops, v + 1) < 0)
-            return NULL;
-        if (gll(q, PPK_drop_count, &v) < 0 ||
-            sll(q, PPK_drop_count, v + 1) < 0)
-            return NULL;
-        if (sll(q, PPK__since_last_drop, 0) < 0)
-            return NULL;
-        c = gdr(q, PPK__dropped);
-        if (c == NULL || counter_inc(c, 1) < 0)
-            return NULL;
-        if (ctx->b == NULL) {
-            PyObject *name = gdr(q, PPK_name);
-            if (name == NULL)
-                return NULL;
-            ctx->b = PyUnicode_FromFormat("%U.red", name);
-            if (ctx->b == NULL)
-                return NULL;
-        }
-        if (pp_mark_dropped(item, ctx->b) < 0)
-            return NULL;
-        trace = gdr(q, PPK_trace);
-        if (trace == NULL ||
-            (trace != Py_None &&
-             pp_trace(trace, PPK_packet_drop, 3, pps.kinds[TK_Q_DROP],
-                      ctx->b, item) < 0))
-            return NULL;
-        if (pp_fire_high(q) < 0)
-            return NULL;
-        Py_RETURN_FALSE;
-    }
-    rc = pp_pq_enqueue_body(q, item);
-    if (rc < 0)
-        return NULL;
-    if (rc == 1) {
-        if (gll(q, PPK__since_last_drop, &since) < 0 ||
-            sll(q, PPK__since_last_drop, since + 1) < 0)
-            return NULL;
-    }
-    return PyBool_FromLong(rc);
 }
 
 /* ---- Packet pipeline: IP forwarding (net/ip.py) --------------------- */
@@ -4368,20 +4325,13 @@ pp_driver_output(PPCtx *ctx, PyObject *packet, int mode)
         Py_DECREF(r);
     }
     else {
-        PyObject *pol, *wk, *r;
+        PyObject *pol;
         if (sd(drv, PPK_tx_service_needed, Py_True) < 0)
             return NULL;
         pol = gdr(drv, PPK_polling);
-        if (pol == NULL)
+        if (pol == NULL ||
+            pp_kick(pol, PPK__wake_pending, PPK_wakeups, ctx->sim) < 0)
             return NULL;
-        wk = PyObject_GetAttr(pol, pp_keys[PPK_wake]);
-        if (wk == NULL)
-            return NULL;
-        r = PyObject_CallNoArgs(wk);
-        Py_DECREF(wk);
-        if (r == NULL)
-            return NULL;
-        Py_DECREF(r);
     }
     Py_RETURN_NONE;
 }
@@ -4443,17 +4393,8 @@ ppf_ipinput_enqueue(PyObject *self, PyObject *packet)
             PyObject *ns = gdr(ipi, PPK__netisr_signal);
             if (ns == NULL)
                 goto fail;
-            if (ns != Py_None) {
-                PyObject *f = PyObject_GetAttr(ns, pp_keys[PPK_fire]);
-                PyObject *r;
-                if (f == NULL)
-                    goto fail;
-                r = PyObject_CallNoArgs(f);
-                Py_DECREF(f);
-                if (r == NULL)
-                    goto fail;
-                Py_DECREF(r);
-            }
+            if (ns != Py_None && pp_signal_fire(ns, ctx->sim) < 0)
+                goto fail;
         }
     }
     return res;
@@ -4547,26 +4488,6 @@ ppf_router_out_transmit(PyObject *self, PyObject *packet)
             pp_trace(trace, PPK_packet_deliver, 2, gdr(nic, PPK_name),
                      packet) < 0)
             return NULL;
-    }
-    pool = gdr(router, PPK_packet_pool);
-    if (pool == NULL)
-        return NULL;
-    if (pp_pool_release(pool, packet) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ppf_router_in_transmit(PyObject *self, PyObject *packet)
-{
-    PPCtx *ctx = (PPCtx *)self;
-    PyObject *router = ctx->owner;
-    PyObject *pool;
-    if (Py_TYPE(packet) != (PyTypeObject *)pps.Packet) {
-        PyObject *stack[2];
-        stack[0] = router;
-        stack[1] = packet;
-        return PyObject_Vectorcall(pps.router_in_transmit, stack, 2, NULL);
     }
     pool = gdr(router, PPK_packet_pool);
     if (pool == NULL)
@@ -4899,8 +4820,6 @@ static PyMethodDef def_nic_rx_pull_many = {
     METH_FASTCALL | METH_KEYWORDS, NULL};
 static PyMethodDef def_nic_rx_pending = {
     "rx_pending", (PyCFunction)ppf_nic_rx_pending, METH_NOARGS, NULL};
-static PyMethodDef def_nic_tx_free = {
-    "tx_free_slots", (PyCFunction)ppf_nic_tx_free, METH_NOARGS, NULL};
 static PyMethodDef def_nic_tx_done = {
     "tx_done_slots", (PyCFunction)ppf_nic_tx_done, METH_NOARGS, NULL};
 static PyMethodDef def_nic_tx_enqueue = {
@@ -4913,8 +4832,6 @@ static PyMethodDef def_pq_enqueue = {
     "enqueue", (PyCFunction)ppf_pq_enqueue, METH_O, NULL};
 static PyMethodDef def_pq_dequeue = {
     "dequeue", (PyCFunction)ppf_pq_dequeue, METH_NOARGS, NULL};
-static PyMethodDef def_red_enqueue = {
-    "enqueue", (PyCFunction)ppf_red_enqueue, METH_O, NULL};
 static PyMethodDef def_ip_dispatch = {
     "_dispatch", (PyCFunction)ppf_ip_dispatch, METH_O, NULL};
 static PyMethodDef def_line_request = {
@@ -4930,8 +4847,6 @@ static PyMethodDef def_driver_output_plain = {
 static PyMethodDef def_router_out = {
     "_on_output_transmit", (PyCFunction)ppf_router_out_transmit, METH_O,
     NULL};
-static PyMethodDef def_router_in = {
-    "_on_input_transmit", (PyCFunction)ppf_router_in_transmit, METH_O, NULL};
 static PyMethodDef def_gen_tick_constant = {
     "_tick", (PyCFunction)ppf_gen_tick_constant, METH_NOARGS, NULL};
 static PyMethodDef def_gen_tick_poisson = {
@@ -4941,32 +4856,48 @@ static PyMethodDef def_gen_tick_bursty = {
 static PyMethodDef def_gen_gap_over = {
     "_gap_over", (PyCFunction)ppf_gen_gap_over, METH_NOARGS, NULL};
 
-/* ---- Compiled IRQ dispatch (hw/interrupts.py + driver handlers) -----
+/* ---- Compiled task bodies (drivers, interrupts, kernel threads) ------
  *
  * The pieces declared above (PPIrq proto, PPGen state machine) are
- * implemented here. A PPGen replays one driver handler generator —
- * including the InterruptController._handler_body dispatch prelude —
- * as a C state machine with the PyIter_Send calling convention, so
- * pp_deliver_impl drives it exactly like a Python generator. Costs are
- * captured at the same resume boundaries as the Python closures, every
- * NIC/queue/IP call goes through the live instance attribute (compiled
- * while installed, pure Python after uninstall), and rare branches
- * (taps, screend, corrupted frames, foreign payloads) pump the real
- * ``ip.input_packet`` generator via g->sub. */
+ * implemented here. A PPGen replays one Python task body — a driver
+ * handler generator, including the InterruptController._handler_body
+ * dispatch prelude, or a kernel thread — as a C state machine with the
+ * PyIter_Send calling convention, so pp_deliver_impl drives it exactly
+ * like a Python generator. Costs are captured at the same resume
+ * boundaries as the Python closures, every NIC/queue/IP call goes
+ * through the live instance attribute (compiled while installed, pure
+ * Python after uninstall), and rare branches (taps, screend, corrupted
+ * frames, foreign payloads) pump the real ``ip.input_packet`` generator
+ * via g->sub.
+ *
+ * Every receive context runs one drain sub-state (GS_DR_*, the port of
+ * drivers/base.py drain), the way every TX path runs GS_TS_*. Its stop
+ * tests re-read live state before every packet where the Python does:
+ * the clocked quota (mitigation retunes it) and the polling system's
+ * input inhibition. */
 
 /* Machine states. */
 enum {
     GS_PRELUDE,       /* maybe yield line._dispatch_work */
     GS_START,         /* per-kind first-resume captures */
+    GS_RETURN,        /* the body returns */
     GS_BSDRX_HEAD, GS_BSDRX_PROC,
     GS_BSDTX_HEAD, GS_BSDTX_AFTER,
     GS_TS_ENTER, GS_TS_RECLAIM, GS_TS_LOOP, GS_TS_BODY,  /* _tx_service */
-    GS_HI_HEAD, GS_HI_BATCH_PULL, GS_HI_BATCH_LOOP, GS_HI_BATCH_PKT,
-    GS_HI_BATCH_DONE, GS_HI_ONE_HEAD, GS_HI_ONE_PKT, GS_HI_ONE_DONE,
-    GS_HI_POST, GS_HI_AFTER,
+    GS_DR_HEAD, GS_DR_PKT, GS_DR_DONE,                   /* drain */
+    GS_DR_BATCH, GS_DR_BLOOP, GS_DR_BPKT, GS_DR_BDONE,
     GS_IP_ENTER, GS_IP_FORWARD,                  /* ip.input_packet */
-    GS_POLLED_RESUME,
+    GS_HI_HEAD, GS_HI_POST, GS_HI_AFTER,
+    GS_STUB_RESUME,
     GS_CLOCK_BODY, GS_CLOCK_CALLOUTS, GS_CLOCK_RUN,
+    GS_POLL_PASS, GS_POLL_LIMIT, GS_POLL_ROUND, GS_POLL_DEV,
+    GS_POLL_RX, GS_POLL_RXDONE, GS_POLL_TX, GS_POLL_TXDONE,
+    GS_POLL_ENDPASS, GS_POLL_CHARGE, GS_POLL_IDLE, GS_POLL_WOKE,
+    GS_NAPI_TOP, GS_NAPI_WOKE, GS_NAPI_PASS, GS_NAPI_RX, GS_NAPI_RXDONE,
+    GS_NAPI_TXDONE,
+    GS_CLK_TOP, GS_CLK_POLL, GS_CLK_RX, GS_CLK_RXDONE, GS_CLK_TXDONE,
+    GS_NETISR_DRAIN, GS_NETISR_WAIT,
+    GS_IDLE_LOOP,
 };
 
 static PyObject *  /* new ref */
@@ -4991,6 +4922,37 @@ pp_meth1(PyObject *obj, int key, PyObject *arg)
     r = PyObject_CallOneArg(m, arg);
     Py_DECREF(m);
     return r;
+}
+
+/* Truth of obj.<key>. */
+static int
+pp_truth(PyObject *obj, int key)
+{
+    PyObject *v = gdr(obj, key);
+    return v == NULL ? -1 : PyObject_IsTrue(v);
+}
+
+/* drv.kernel.config.rx_batch_pull */
+static int
+pp_batch_pull(PyObject *drv, int *out)
+{
+    PyObject *kernel = gdr(drv, PPK_kernel);
+    PyObject *config = kernel ? gdr(kernel, PPK_config) : NULL;
+    *out = config ? pp_truth(config, PPK_rx_batch_pull) : -1;
+    return *out < 0 ? -1 : 0;
+}
+
+/* A quota value: None (unbounded) or an int. */
+static int
+pp_quota(PyObject *q, int *bounded, long long *limit)
+{
+    if (q == NULL)
+        return -1;
+    *bounded = q != Py_None;
+    if (!*bounded)
+        return 0;
+    *limit = PyLong_AsLongLong(q);
+    return *limit == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
 static int
@@ -5040,16 +5002,152 @@ pp_ifq_len(PyObject *drv, Py_ssize_t *out)
     return *out < 0 ? -1 : 0;
 }
 
-/* ---- PPGen: the handler state machine ------------------------------- */
+/* drv.nic.rx_pending(), through the live attribute (a fault plan may
+ * stall the ring). */
+static int
+pp_rx_pending(PyObject *drv, long long *out)
+{
+    PyObject *nic = gdr(drv, PPK_nic);
+    PyObject *r = nic ? pp_meth0(nic, PPK_rx_pending) : NULL;
+    if (r == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(r);
+    Py_DECREF(r);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* ``nic.tx_done_slots() > 0 or (not ifqueue.empty and
+ * nic.tx_free_slots() > 0)``: TX work is waiting. 1, 0, or -1. */
+static int
+pp_tx_work(PyObject *drv)
+{
+    PyObject *nic = gdr(drv, PPK_nic);
+    long long done, freeslots;
+    Py_ssize_t qlen;
+    if (nic == NULL || gll(nic, PPK__tx_done, &done) < 0)
+        return -1;
+    if (done > 0)
+        return 1;
+    if (pp_ifq_len(drv, &qlen) < 0)
+        return -1;
+    if (qlen == 0)
+        return 0;
+    if (pp_tx_free(nic, &freeslots) < 0)
+        return -1;
+    return freeslots > 0;
+}
+
+/* InterruptLine.enable */
+static int
+pp_line_enable(PyObject *line)
+{
+    PyObject *ctrl, *r;
+    int t = pp_truth(line, PPK_enabled);
+    if (t != 0)
+        return t < 0 ? -1 : 0;
+    if (sd(line, PPK_enabled, Py_True) < 0)
+        return -1;
+    ctrl = gdr(line, PPK_controller);
+    if (ctrl == NULL)
+        return -1;
+    r = pp_meth1(ctrl, PPK_try_deliver, line);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* line.request() when ``pending > 0``. */
+static int
+pp_request_if(PyObject *line, long long pending)
+{
+    PyObject *r;
+    if (pending <= 0)
+        return 0;
+    r = pp_meth0(line, PPK_request);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* trace.record(QUOTA_EXHAUST, drv.name, handled, pending) if armed. */
+static int
+pp_record_exhaust(PyObject *trace, PyObject *drv, long long handled,
+                  long long pending)
+{
+    PyObject *name = gdr(drv, PPK_name);
+    PyObject *h = name ? PyLong_FromLongLong(handled) : NULL;
+    PyObject *pn = h ? PyLong_FromLongLong(pending) : NULL;
+    int rc = pn ? pp_trace(trace, PPK_record, 4, pps.kinds[TK_QUOTA_EXHAUST],
+                           name, h, pn)
+                : -1;
+    Py_XDECREF(h);
+    Py_XDECREF(pn);
+    return rc;
+}
+
+/* CycleLimiter.charge */
+static int
+pp_limiter_charge(PyObject *lim, long long cycles)
+{
+    PyObject *polling, *reason, *reasons, *ctr, *trace, *r;
+    long long used, threshold;
+    int t;
+    if (cycles < 0) {
+        PyErr_SetString(PyExc_ValueError, "cannot charge negative cycles");
+        return -1;
+    }
+    if (gll(lim, PPK_used_cycles, &used) < 0 ||
+        sll(lim, PPK_used_cycles, used + cycles) < 0 ||
+        gll(lim, PPK_threshold_cycles, &threshold) < 0)
+        return -1;
+    used += cycles;
+    if (used <= threshold)
+        return 0;
+    polling = gdr(lim, PPK_polling);
+    if (polling == NULL)
+        return -1;
+    if (polling == Py_None)
+        return 0;
+    reason = PyObject_GetAttr(lim, pp_keys[PPK_REASON]);
+    if (reason == NULL)
+        return -1;
+    reasons = gdr(polling, PPK__inhibit_reasons);
+    t = reasons == NULL ? -1 : PySequence_Contains(reasons, reason);
+    if (t != 0) {         /* already inhibited (or an error) */
+        Py_DECREF(reason);
+        return t < 0 ? -1 : 0;
+    }
+    ctr = gdr(lim, PPK_inhibitions);
+    if (ctr == NULL || counter_inc(ctr, 1) < 0 ||
+        (trace = gdr(lim, PPK_trace)) == NULL ||
+        (trace != Py_None &&
+         pp_record_ll(trace, TK_CYCLE_LIMIT, reason, used) < 0)) {
+        Py_DECREF(reason);
+        return -1;
+    }
+    r = pp_meth1(polling, PPK_inhibit_input, reason);
+    Py_DECREF(reason);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* ---- PPGen: the body state machine ---------------------------------- */
 
 static int
 ppgen_traverse(PPGenObject *g, visitproc visit, void *arg)
 {
     Py_VISIT(g->proto);
+    Py_VISIT(g->dev);
     Py_VISIT(g->sub);
     Py_VISIT(g->packet);
     Py_VISIT(g->batch);
     Py_VISIT(g->work);
+    Py_VISIT(g->wait);
+    Py_VISIT(g->sleep);
     return 0;
 }
 
@@ -5057,10 +5155,13 @@ static int
 ppgen_clear(PPGenObject *g)
 {
     Py_CLEAR(g->proto);
+    Py_CLEAR(g->dev);
     Py_CLEAR(g->sub);
     Py_CLEAR(g->packet);
     Py_CLEAR(g->batch);
     Py_CLEAR(g->work);
+    Py_CLEAR(g->wait);
+    Py_CLEAR(g->sleep);
     return 0;
 }
 
@@ -5073,7 +5174,7 @@ ppgen_dealloc(PPGenObject *g)
 }
 
 /* Yield ``cycles`` of work: refresh the reusable Work command and hand
- * it out. Identity is unobservable — the Python handlers also yield
+ * it out. Identity is unobservable — the Python bodies also yield
  * shared Work objects, and pp_deliver_impl only reads .cycles. */
 static PySendResult
 ppgen_yield(PPGenObject *g, long long cycles, int next_state, PyObject **pres)
@@ -5091,11 +5192,89 @@ ppgen_yield(PPGenObject *g, long long cycles, int next_state, PyObject **pres)
     return PYGEN_NEXT;
 }
 
+/* Yield a Sleep of ``ns``, reusing the body's Sleep command. */
+static PySendResult
+ppgen_sleep(PPGenObject *g, long long ns, int next_state, PyObject **pres)
+{
+    PyObject *nsobj = PyLong_FromLongLong(ns);
+    if (nsobj == NULL) {
+        g->closed = 1;
+        *pres = NULL;
+        return PYGEN_ERROR;
+    }
+    slot_set(g->sleep, pps.off_sleep_ns, nsobj);
+    g->state = next_state;
+    Py_INCREF(g->sleep);
+    *pres = g->sleep;
+    return PYGEN_NEXT;
+}
+
+/* Yield the body's WaitSignal command. */
+static PySendResult
+ppgen_wait(PPGenObject *g, int next_state, PyObject **pres)
+{
+    g->state = next_state;
+    Py_INCREF(g->wait);
+    *pres = g->wait;
+    return PYGEN_NEXT;
+}
+
+/* Build the thread's reusable commands: WaitSignal(signal) unless
+ * ``signal`` is NULL, and a Sleep when ``sleep``. */
+static int
+ppgen_commands(PPGenObject *g, PyObject *signal, int sleep)
+{
+    if (signal != NULL) {
+        g->wait = PyObject_CallOneArg(pps.WaitSignal, signal);
+        if (g->wait == NULL)
+            return -1;
+    }
+    else if (PyErr_Occurred())
+        return -1;
+    if (sleep) {
+        PyObject *zero = PyLong_FromLong(0);
+        if (zero == NULL)
+            return -1;
+        g->sleep = PyObject_CallOneArg(pps.Sleep, zero);
+        Py_DECREF(zero);
+        if (g->sleep == NULL)
+            return -1;
+    }
+    return 0;
+}
+
+/* Enter the drain sub-state; it continues at ``ret`` with the count in
+ * g->dr_handled. */
+static void
+ppgen_drain(PPGenObject *g, int flags, long long limit, long long cycles,
+            int ret)
+{
+    g->dr_flags = flags;
+    g->dr_limit = limit;
+    g->dr_cycles = cycles;
+    g->dr_ret = ret;
+    g->dr_handled = 0;
+    g->state = flags & DR_BATCH ? GS_DR_BATCH : GS_DR_HEAD;
+}
+
+/* Enter _tx_service(quota); it continues at ``ret`` with g->moved. */
+static int
+ppgen_tx_service(PPGenObject *g, PyObject *quota, int ret)
+{
+    int bounded;
+    if (pp_quota(quota, &bounded, &g->tsq) < 0)
+        return -1;
+    g->tsq_none = !bounded;
+    g->ts_ret = ret;
+    g->state = GS_TS_ENTER;
+    return 0;
+}
+
 static PySendResult
 ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
 {
     PPIrq *p = g->proto;
-    PyObject *drv;
+    PyObject *drv, *dev;
     if (g->closed) {
         /* Exhausted generator: Python's .send raises StopIteration,
          * which PyIter_Send maps to PYGEN_RETURN None. */
@@ -5112,7 +5291,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
         /* Active Python sub-generator (the yield-from escape). */
         if (g->sub != NULL) {
             PyObject *sc = NULL;
-            PySendResult ssr = PyIter_Send(g->sub, value, &sc);
+            PySendResult ssr = pp_send_py(g->sub, value, &sc);
             if (ssr == PYGEN_NEXT) {
                 *pres = sc;
                 return PYGEN_NEXT;
@@ -5124,6 +5303,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             value = Py_None;
             /* fall through to the stored continuation state */
         }
+        dev = g->dev;
         switch (g->state) {
 
         case GS_PRELUDE: {
@@ -5141,15 +5321,16 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             return ppgen_yield(g, c, GS_START, pres);
         }
 
-        case GS_START:
-            /* First resume of the handler body: the Python closures
-             * capture their per-dispatch costs here. */
+        case GS_START: {
+            /* First resume of the body: the Python closures capture
+             * their per-dispatch costs here. */
+            PyObject *costs = gdr(drv, PPK_costs);
+            if (costs == NULL)
+                goto fail;
             switch (p->kind) {
             case PPIRQ_BSD_RX: {
-                PyObject *costs = gdr(drv, PPK_costs);
                 long long per, extra, post;
-                if (costs == NULL ||
-                    gll(costs, PPK_rx_device_per_packet, &per) < 0 ||
+                if (gll(costs, PPK_rx_device_per_packet, &per) < 0 ||
                     gll(drv, PPK_extra_rx_cycles, &extra) < 0 ||
                     gll(costs, PPK_softirq_post, &post) < 0)
                     goto fail;
@@ -5161,75 +5342,126 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             case PPIRQ_BSD_TX:
                 g->state = GS_BSDTX_HEAD;
                 break;
-            case PPIRQ_HIGHIPL: {
-                PyObject *kernel = gdr(drv, PPK_kernel);
-                PyObject *config, *bp, *costs;
-                int t;
-                if (kernel == NULL)
-                    goto fail;
-                config = gdr(kernel, PPK_config);
-                if (config == NULL)
-                    goto fail;
-                bp = gdr(config, PPK_rx_batch_pull);
-                if (bp == NULL)
-                    goto fail;
-                t = PyObject_IsTrue(bp);
-                if (t < 0)
-                    goto fail;
-                g->batch_pull = t;
-                costs = gdr(drv, PPK_costs);
-                if (costs == NULL ||
+            case PPIRQ_HIGHIPL:
+                if (pp_batch_pull(drv, &g->batch_pull) < 0 ||
                     gll(costs, PPK_polled_rx_per_packet, &g->c1) < 0)
                     goto fail;
                 g->state = GS_HI_HEAD;
                 break;
-            }
-            case PPIRQ_POLLED_RX:
-            case PPIRQ_POLLED_TX: {
-                PyObject *costs = gdr(drv, PPK_costs);
-                long long c;
-                if (costs == NULL ||
-                    gll(costs, PPK_polled_stub_handler, &c) < 0)
+            case PPT_CLOCKED: {
+                long long over, check;
+                if (pp_batch_pull(drv, &g->batch_pull) < 0 ||
+                    gll(drv, PPK_poll_interval_ns, &g->c3) < 0 ||
+                    gll(costs, PPK_poll_loop_overhead, &over) < 0 ||
+                    gll(costs, PPK_poll_device_check, &check) < 0 ||
+                    gll(costs, PPK_polled_rx_per_packet, &g->c2) < 0 ||
+                    ppgen_commands(g, NULL, 1) < 0)
                     goto fail;
-                return ppgen_yield(g, c, GS_POLLED_RESUME, pres);
+                g->c1 = over + check;
+                g->state = GS_CLK_TOP;
+                break;
             }
-            case PPIRQ_CLOCK: {
+            /* The stubs: the service flag each one sets. */
+            case PPIRQ_POLLED_RX:
+                g->flag = PPK_rx_service_needed;
+                goto stub;
+            case PPIRQ_POLLED_TX:
+                g->flag = PPK_tx_service_needed;
+                goto stub;
+            case PPIRQ_HYBRID_RX:
+                g->flag = PPK_rx_service_needed;
+                goto stub;
+            case PPIRQ_HYBRID_TX:
+                g->flag = PPK_tx_service_needed;
+            stub: {
+                long long c;
+                if (gll(costs, PPK_polled_stub_handler, &c) < 0)
+                    goto fail;
+                return ppgen_yield(g, c, GS_STUB_RESUME, pres);
+            }
+            case PPIRQ_SOFTNET:
+                if (gll(costs, PPK_ipintrq_dequeue, &g->c1) < 0)
+                    goto fail;
+                ppgen_drain(g, DR_IPINTRQ | DR_ACK, 0, g->c1, GS_RETURN);
+                break;
+            case PPIRQ_CLOCK:
                 /* drv is the Kernel here. */
-                PyObject *costs = gdr(drv, PPK_costs);
-                if (costs == NULL ||
-                    gll(costs, PPK_clock_tick, &g->c1) < 0 ||
+                if (gll(costs, PPK_clock_tick, &g->c1) < 0 ||
                     gll(costs, PPK_callout_run, &g->c2) < 0)
                     goto fail;
                 return ppgen_yield(g, g->c1, GS_CLOCK_BODY, pres);
+            case PPT_POLL: {
+                /* cpu = self.kernel.cpu, for read_cycle_counter(). */
+                PyObject *kernel = gdr(drv, PPK_kernel);
+                PyObject *cpu = kernel ? gdr(kernel, PPK_cpu) : NULL;
+                if (cpu == NULL || gll(cpu, PPK_hz, &g->c3) < 0 ||
+                    ppgen_commands(g, gdr(drv, PPK__signal), 0) < 0)
+                    goto fail;
+                g->state = GS_POLL_PASS;
+                break;
+            }
+            case PPT_NAPI: {
+                long long over, check;
+                int bounded;
+                if (gll(costs, PPK_poll_loop_overhead, &over) < 0 ||
+                    gll(costs, PPK_poll_device_check, &check) < 0 ||
+                    gll(costs, PPK_polled_rx_per_packet, &g->c2) < 0 ||
+                    pp_quota(gdr(drv, PPK_quota), &bounded, &g->quota) < 0 ||
+                    ppgen_commands(g, gdr(drv, PPK__signal), 1) < 0)
+                    goto fail;
+                g->c1 = over + check;
+                g->bounded = bounded;
+                g->state = GS_NAPI_TOP;
+                break;
+            }
+            case PPT_NETISR:
+                if (gll(costs, PPK_ipintrq_dequeue, &g->c1) < 0 ||
+                    ppgen_commands(g, gdr(drv, PPK__netisr_signal), 0) < 0)
+                    goto fail;
+                g->state = GS_NETISR_DRAIN;
+                break;
+            case PPT_IDLE: {
+                /* costs.cpu_hz // 1_000_000 * IDLE_CHUNK_US */
+                PyObject *us = pp_import_attr("repro.kernel.kernel",
+                                              "IDLE_CHUNK_US");
+                long long hz, chunk;
+                if (us == NULL)
+                    goto fail;
+                chunk = PyLong_AsLongLong(us);
+                Py_DECREF(us);
+                if ((chunk == -1 && PyErr_Occurred()) ||
+                    gll(costs, PPK_cpu_hz, &hz) < 0)
+                    goto fail;
+                g->c1 = hz / 1000000 * chunk;
+                g->state = GS_IDLE_LOOP;
+                break;
             }
             default:
                 PyErr_SetString(PyExc_SystemError,
-                                "packetpath: unknown PPIrq kind");
+                                "packetpath: unknown PPGen kind");
                 goto fail;
             }
             break;
+        }
+
+        case GS_RETURN:
+            goto finish;
 
         /* ---- BsdDriver._rx_handler -------------------------------- */
 
         case GS_BSDRX_HEAD: {
-            PyObject *en, *packet;
-            int t;
-            en = gdr(p->line, PPK_enabled);
-            if (en == NULL)
-                goto fail;
-            t = PyObject_IsTrue(en);
+            PyObject *packet, *nic;
+            int t = pp_truth(p->line, PPK_enabled);
             if (t < 0)
                 goto fail;
             if (!t)
                 goto finish;          /* rate-limit feedback stop */
             if (sd(p->line, PPK_requested, Py_False) < 0)
                 goto fail;            /* rx_line.acknowledge() */
-            {
-                PyObject *nic = gdr(drv, PPK_nic);
-                if (nic == NULL)
-                    goto fail;
-                packet = pp_meth0(nic, PPK_rx_pull);
-            }
+            nic = gdr(drv, PPK_nic);
+            if (nic == NULL)
+                goto fail;
+            packet = pp_meth0(nic, PPK_rx_pull);
             if (packet == NULL)
                 goto fail;
             if (packet == Py_None) {
@@ -5274,10 +5506,8 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
         case GS_BSDTX_HEAD:
             if (sd(p->line, PPK_requested, Py_False) < 0)
                 goto fail;            /* tx_line.acknowledge() */
-            g->tsq_none = 1;          /* _tx_service(quota=None) */
-            g->tsq = 0;
-            g->ts_ret = GS_BSDTX_AFTER;
-            g->state = GS_TS_ENTER;
+            if (ppgen_tx_service(g, Py_None, GS_BSDTX_AFTER) < 0)
+                goto fail;
             break;
 
         case GS_BSDTX_AFTER: {
@@ -5302,15 +5532,15 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             break;
         }
 
-        /* ---- Driver._tx_service (shared by bsd-tx and high-IPL) --- */
+        /* ---- Driver._tx_service (every TX path, on g->dev) -------- */
 
         case GS_TS_ENTER: {
-            PyObject *nic = gdr(drv, PPK_nic);
+            PyObject *nic = gdr(dev, PPK_nic);
             long long done;
             if (nic == NULL || gll(nic, PPK__tx_done, &done) < 0)
                 goto fail;
             if (done > 0) {
-                PyObject *costs = gdr(drv, PPK_costs);
+                PyObject *costs = gdr(dev, PPK_costs);
                 long long per;
                 if (costs == NULL ||
                     gll(costs, PPK_tx_reclaim_per_packet, &per) < 0)
@@ -5323,7 +5553,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
         }
 
         case GS_TS_RECLAIM: {
-            PyObject *nic = gdr(drv, PPK_nic), *r;
+            PyObject *nic = gdr(dev, PPK_nic), *r;
             if (nic == NULL)
                 goto fail;
             r = pp_meth0(nic, PPK_tx_reclaim);
@@ -5343,27 +5573,27 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
                 g->state = g->ts_ret;
                 break;
             }
-            nic = gdr(drv, PPK_nic);
+            nic = gdr(dev, PPK_nic);
             if (nic == NULL || pp_tx_free(nic, &freeslots) < 0)
                 goto fail;
             if (freeslots <= 0) {
                 g->state = g->ts_ret;
                 break;
             }
-            if (pp_ifq_len(drv, &qlen) < 0)
+            if (pp_ifq_len(dev, &qlen) < 0)
                 goto fail;
             if (qlen == 0) {
                 g->state = g->ts_ret;
                 break;
             }
-            tsw = gdr(drv, PPK__tx_start_work);
+            tsw = gdr(dev, PPK__tx_start_work);
             if (tsw == NULL || pp_work_cycles(tsw, &c) < 0)
                 goto fail;
             return ppgen_yield(g, c, GS_TS_BODY, pres);
         }
 
         case GS_TS_BODY: {
-            PyObject *q = gdr(drv, PPK_ifqueue), *nic, *packet, *r, *ctr;
+            PyObject *q = gdr(dev, PPK_ifqueue), *nic, *packet, *r, *ctr;
             if (q == NULL)
                 goto fail;
             packet = pp_meth0(q, PPK_dequeue);
@@ -5374,7 +5604,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
                 g->state = g->ts_ret;
                 break;
             }
-            nic = gdr(drv, PPK_nic);
+            nic = gdr(dev, PPK_nic);
             if (nic == NULL) {
                 Py_DECREF(packet);
                 goto fail;
@@ -5384,7 +5614,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             if (r == NULL)
                 goto fail;
             Py_DECREF(r);
-            ctr = gdr(drv, PPK_tx_packets_started);
+            ctr = gdr(dev, PPK_tx_packets_started);
             if (ctr == NULL || counter_inc(ctr, 1) < 0)
                 goto fail;
             g->moved += 1;
@@ -5392,32 +5622,103 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             break;
         }
 
-        /* ---- HighIplDriver._service_handler ----------------------- */
+        /* ---- drain (drivers/base.py), on g->dev ------------------- */
 
-        case GS_HI_HEAD: {
-            PyObject *rxl = gdr(drv, PPK_rx_line);
-            PyObject *txl = gdr(drv, PPK_tx_line), *ctr;
-            if (rxl == NULL || txl == NULL)
+        case GS_DR_HEAD: {
+            PyObject *src, *packet;
+            int flags = g->dr_flags;
+            if (flags & (DR_BOUND | DR_LIVE)) {
+                int bounded = 1;
+                long long limit = g->dr_limit;
+                if (flags & DR_LIVE &&
+                    pp_quota(gdr(dev, PPK_quota), &bounded, &limit) < 0)
+                    goto fail;
+                if (bounded && g->dr_handled >= limit) {
+                    g->state = g->dr_ret;
+                    break;
+                }
+            }
+            if (flags & DR_GATE) {
+                PyObject *polling = gdr(dev, PPK_polling);
+                int t;
+                if (polling == NULL)
+                    goto fail;
+                if (polling != Py_None) {
+                    /* not polling.input_allowed */
+                    t = pp_truth(polling, PPK__inhibit_reasons);
+                    if (t < 0)
+                        goto fail;
+                    if (t) {
+                        g->state = g->dr_ret;
+                        break;
+                    }
+                }
+            }
+            if (flags & DR_ACK &&
+                sd(p->line, PPK_requested, Py_False) < 0)
+                goto fail;            /* acknowledge() */
+            if (flags & DR_IPINTRQ) {
+                src = gdr(dev, PPK_ipintrq);
+                packet = src ? pp_meth0(src, PPK_dequeue) : NULL;
+            } else {
+                src = gdr(dev, PPK_nic);
+                packet = src ? pp_meth0(src, PPK_rx_pull) : NULL;
+            }
+            if (packet == NULL)
                 goto fail;
-            if (sd(rxl, PPK_requested, Py_False) < 0 ||
-                sd(txl, PPK_requested, Py_False) < 0)
+            if (packet == Py_None) {
+                Py_DECREF(packet);
+                g->state = g->dr_ret;
+                break;
+            }
+            if (sd(dev, PPK_in_flight, packet) < 0) {
+                Py_DECREF(packet);
                 goto fail;
-            ctr = gdr(drv, PPK_service_rounds);
-            if (ctr == NULL || counter_inc(ctr, 1) < 0)
-                goto fail;
-            g->handled = 0;
-            g->state = g->batch_pull ? GS_HI_BATCH_PULL : GS_HI_ONE_HEAD;
-            break;
+            }
+            Py_XSETREF(g->packet, packet);
+            return ppgen_yield(g, g->dr_cycles, GS_DR_PKT, pres);
         }
 
-        case GS_HI_BATCH_PULL: {
-            PyObject *nic = gdr(drv, PPK_nic), *quota, *batch;
+        case GS_DR_PKT:
+        case GS_DR_BPKT:
+            if (g->dr_flags & DR_COUNT) {
+                PyObject *ctr = gdr(dev, PPK_rx_packets_processed);
+                if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                    goto fail;
+            }
+            g->ip_cont = g->state == GS_DR_PKT ? GS_DR_DONE : GS_DR_BDONE;
+            g->state = GS_IP_ENTER;
+            break;
+
+        case GS_DR_DONE:
+            if (sd(dev, PPK_in_flight, Py_None) < 0)
+                goto fail;
+            Py_CLEAR(g->packet);
+            g->dr_handled += 1;
+            g->state = GS_DR_HEAD;
+            break;
+
+        case GS_DR_BATCH: {
+            /* The pulled batch lives only in this frame, so expose it
+             * (oldest last, consumed by pop) for mid-flight teardown. */
+            PyObject *nic = gdr(dev, PPK_nic), *quota, *batch;
             if (nic == NULL)
                 goto fail;
-            quota = gdr(drv, PPK_quota);
-            if (quota == NULL)
-                goto fail;
+            if (g->dr_flags & DR_LIVE) {
+                quota = gdr(dev, PPK_quota);
+                if (quota == NULL)
+                    goto fail;
+                Py_INCREF(quota);
+            } else if (g->dr_flags & DR_BOUND) {
+                quota = PyLong_FromLongLong(g->dr_limit);
+                if (quota == NULL)
+                    goto fail;
+            } else {
+                quota = Py_None;
+                Py_INCREF(quota);
+            }
             batch = pp_meth1(nic, PPK_rx_pull_many, quota);
+            Py_DECREF(quota);
             if (batch == NULL)
                 goto fail;
             if (!PyList_Check(batch)) {
@@ -5426,20 +5727,17 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
                                 "packetpath: rx_pull_many must return a list");
                 goto fail;
             }
-            if (PyList_Reverse(batch) < 0) {
-                Py_DECREF(batch);
-                goto fail;
-            }
-            if (sd(drv, PPK_in_flight, batch) < 0) {
+            if (PyList_Reverse(batch) < 0 ||
+                sd(dev, PPK_in_flight, batch) < 0) {
                 Py_DECREF(batch);
                 goto fail;
             }
             Py_XSETREF(g->batch, batch);
-            g->state = GS_HI_BATCH_LOOP;
+            g->state = GS_DR_BLOOP;
             break;
         }
 
-        case GS_HI_BATCH_LOOP: {
+        case GS_DR_BLOOP: {
             Py_ssize_t n;
             PyObject *pkt;
             if (g->batch == NULL) {
@@ -5448,28 +5746,19 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             }
             n = PyList_GET_SIZE(g->batch);
             if (n == 0) {
-                if (sd(drv, PPK_in_flight, Py_None) < 0)
+                if (sd(dev, PPK_in_flight, Py_None) < 0)
                     goto fail;
                 Py_CLEAR(g->batch);
-                g->state = GS_HI_POST;
+                g->state = g->dr_ret;
                 break;
             }
             pkt = PyList_GET_ITEM(g->batch, n - 1);
             Py_INCREF(pkt);
             Py_XSETREF(g->packet, pkt);
-            return ppgen_yield(g, g->c1, GS_HI_BATCH_PKT, pres);
+            return ppgen_yield(g, g->dr_cycles, GS_DR_BPKT, pres);
         }
 
-        case GS_HI_BATCH_PKT: {
-            PyObject *ctr = gdr(drv, PPK_rx_packets_processed);
-            if (ctr == NULL || counter_inc(ctr, 1) < 0)
-                goto fail;
-            g->ip_cont = GS_HI_BATCH_DONE;
-            g->state = GS_IP_ENTER;
-            break;
-        }
-
-        case GS_HI_BATCH_DONE: {
+        case GS_DR_BDONE: {
             Py_ssize_t n;
             if (g->batch == NULL) {
                 PyErr_SetString(PyExc_SystemError, "packetpath: batch lost");
@@ -5479,120 +5768,16 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             if (n > 0 &&
                 PyList_SetSlice(g->batch, n - 1, n, NULL) < 0)
                 goto fail;            /* batch.pop() */
-            g->handled += 1;
+            g->dr_handled += 1;
             Py_CLEAR(g->packet);
-            g->state = GS_HI_BATCH_LOOP;
+            g->state = GS_DR_BLOOP;
             break;
         }
-
-        case GS_HI_ONE_HEAD: {
-            PyObject *quota = gdr(drv, PPK_quota), *nic, *packet;
-            if (quota == NULL)
-                goto fail;
-            if (quota != Py_None) {
-                long long q = PyLong_AsLongLong(quota);
-                if (q == -1 && PyErr_Occurred())
-                    goto fail;
-                if (g->handled >= q) {
-                    g->state = GS_HI_POST;
-                    break;
-                }
-            }
-            nic = gdr(drv, PPK_nic);
-            if (nic == NULL)
-                goto fail;
-            packet = pp_meth0(nic, PPK_rx_pull);
-            if (packet == NULL)
-                goto fail;
-            if (packet == Py_None) {
-                Py_DECREF(packet);
-                g->state = GS_HI_POST;
-                break;
-            }
-            if (sd(drv, PPK_in_flight, packet) < 0) {
-                Py_DECREF(packet);
-                goto fail;
-            }
-            Py_XSETREF(g->packet, packet);
-            return ppgen_yield(g, g->c1, GS_HI_ONE_PKT, pres);
-        }
-
-        case GS_HI_ONE_PKT: {
-            PyObject *ctr = gdr(drv, PPK_rx_packets_processed);
-            if (ctr == NULL || counter_inc(ctr, 1) < 0)
-                goto fail;
-            g->ip_cont = GS_HI_ONE_DONE;
-            g->state = GS_IP_ENTER;
-            break;
-        }
-
-        case GS_HI_ONE_DONE:
-            if (sd(drv, PPK_in_flight, Py_None) < 0)
-                goto fail;
-            Py_CLEAR(g->packet);
-            g->handled += 1;
-            g->state = GS_HI_ONE_HEAD;
-            break;
-
-        case GS_HI_POST: {
-            PyObject *trace = gdr(drv, PPK_trace), *quota;
-            if (trace == NULL)
-                goto fail;
-            if (trace != Py_None && g->handled > 0) {
-                PyObject *nic = gdr(drv, PPK_nic), *pobj;
-                long long pending;
-                if (nic == NULL)
-                    goto fail;
-                pobj = pp_meth0(nic, PPK_rx_pending);
-                if (pobj == NULL)
-                    goto fail;
-                pending = PyLong_AsLongLong(pobj);
-                Py_DECREF(pobj);
-                if (pending == -1 && PyErr_Occurred())
-                    goto fail;
-                if (pending > 0) {
-                    PyObject *name = gdr(drv, PPK_name);
-                    PyObject *h = name ? PyLong_FromLongLong(g->handled) : NULL;
-                    PyObject *pn = h ? PyLong_FromLongLong(pending) : NULL;
-                    int rc = pn ? pp_trace(trace, PPK_record, 4,
-                                           pps.kinds[TK_QUOTA_EXHAUST], name,
-                                           h, pn)
-                                : -1;
-                    Py_XDECREF(h);
-                    Py_XDECREF(pn);
-                    if (rc < 0)
-                        goto fail;
-                }
-            }
-            quota = gdr(drv, PPK_quota);
-            if (quota == NULL)
-                goto fail;
-            if (quota == Py_None) {
-                g->tsq_none = 1;
-                g->tsq = 0;
-            }
-            else {
-                long long q = PyLong_AsLongLong(quota);
-                if (q == -1 && PyErr_Occurred())
-                    goto fail;
-                g->tsq_none = 0;
-                g->tsq = q;
-            }
-            g->ts_ret = GS_HI_AFTER;
-            g->state = GS_TS_ENTER;
-            break;
-        }
-
-        case GS_HI_AFTER:
-            if (g->handled == 0 && g->moved == 0)
-                goto finish;
-            g->state = GS_HI_HEAD;
-            break;
 
         /* ---- IPLayer.input_packet (common case inline) ------------ */
 
         case GS_IP_ENTER: {
-            PyObject *ip = gdr(drv, PPK_ip), *taps, *screen, *corr;
+            PyObject *ip = gdr(dev, PPK_ip), *taps, *screen, *corr;
             int corrupted = 1;
             if (ip == NULL)
                 goto fail;
@@ -5624,12 +5809,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             /* Rare branch (corrupted frame, taps, screend, foreign
              * payload): pump the real Python generator. */
             {
-                PyObject *m = PyObject_GetAttrString(ip, "input_packet");
-                PyObject *subgen;
-                if (m == NULL)
-                    goto fail;
-                subgen = PyObject_CallOneArg(m, g->packet);
-                Py_DECREF(m);
+                PyObject *subgen = pp_meth1(ip, PPK_input_packet, g->packet);
                 if (subgen == NULL)
                     goto fail;
                 g->sub = subgen;
@@ -5640,7 +5820,7 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
         }
 
         case GS_IP_FORWARD: {
-            PyObject *ip = gdr(drv, PPK_ip), *r;
+            PyObject *ip = gdr(dev, PPK_ip), *r;
             if (ip == NULL)
                 goto fail;
             r = pp_meth1(ip, PPK__dispatch, g->packet);
@@ -5651,24 +5831,69 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             break;
         }
 
-        /* ---- PolledDriver stubs ----------------------------------- */
+        /* ---- HighIplDriver._service_handler ----------------------- */
 
-        case GS_POLLED_RESUME: {
-            PyObject *polling, *r;
-            int flag = (p->kind == PPIRQ_POLLED_RX)
-                           ? PPK_rx_service_needed
-                           : PPK_tx_service_needed;
+        case GS_HI_HEAD: {
+            PyObject *rxl = gdr(drv, PPK_rx_line);
+            PyObject *txl = gdr(drv, PPK_tx_line), *ctr;
+            if (rxl == NULL || txl == NULL)
+                goto fail;
+            if (sd(rxl, PPK_requested, Py_False) < 0 ||
+                sd(txl, PPK_requested, Py_False) < 0)
+                goto fail;
+            ctr = gdr(drv, PPK_service_rounds);
+            if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                goto fail;
+            ppgen_drain(g,
+                        DR_COUNT | DR_LIVE | (g->batch_pull ? DR_BATCH : 0),
+                        0, g->c1, GS_HI_POST);
+            break;
+        }
+
+        case GS_HI_POST: {
+            PyObject *trace = gdr(drv, PPK_trace);
+            if (trace == NULL)
+                goto fail;
+            if (trace != Py_None && g->dr_handled > 0) {
+                long long pending;
+                if (pp_rx_pending(drv, &pending) < 0 ||
+                    (pending > 0 &&
+                     pp_record_exhaust(trace, drv, g->dr_handled,
+                                       pending) < 0))
+                    goto fail;
+            }
+            if (ppgen_tx_service(g, gdr(drv, PPK_quota), GS_HI_AFTER) < 0)
+                goto fail;
+            break;
+        }
+
+        case GS_HI_AFTER:
+            if (g->dr_handled == 0 && g->moved == 0)
+                goto finish;
+            g->state = GS_HI_HEAD;
+            break;
+
+        /* ---- Polled and hybrid stubs ------------------------------ */
+
+        case GS_STUB_RESUME: {
+            int rc;
             if (sd(p->line, PPK_enabled, Py_False) < 0)
                 goto fail;            /* line.disable() */
-            if (sd(drv, flag, Py_True) < 0)
+            if (sd(drv, g->flag, Py_True) < 0)
                 goto fail;
-            polling = gdr(drv, PPK_polling);
-            if (polling == NULL)
+            if (p->kind == PPIRQ_POLLED_RX || p->kind == PPIRQ_POLLED_TX) {
+                /* self.polling.wake() */
+                PyObject *polling = gdr(drv, PPK_polling);
+                rc = polling == NULL
+                         ? -1
+                         : pp_kick(polling, PPK__wake_pending, PPK_wakeups,
+                                   p->sim);
+            } else {
+                /* self._schedule() */
+                rc = pp_kick(drv, PPK__scheduled, PPK_napi_schedules, p->sim);
+            }
+            if (rc < 0)
                 goto fail;
-            r = pp_meth0(polling, PPK_wake);
-            if (r == NULL)
-                goto fail;
-            Py_DECREF(r);
             goto finish;
         }
 
@@ -5781,6 +6006,505 @@ ppgen_send(PPGenObject *g, PyObject *value, PyObject **pres)
             break;
         }
 
+        /* ---- PollingSystem._body (drv is the polling system) ------ */
+
+        case GS_POLL_PASS: {
+            PyObject *costs = gdr(drv, PPK_costs);
+            long long c;
+            if (costs == NULL || gll(costs, PPK_poll_loop_overhead, &c) < 0)
+                goto fail;
+            return ppgen_yield(g, c, GS_POLL_LIMIT, pres);
+        }
+
+        case GS_POLL_LIMIT: {
+            PyObject *lim = gdr(drv, PPK_cycle_limiter);
+            if (lim == NULL)
+                goto fail;
+            if (lim != Py_None) {
+                PyObject *costs = gdr(drv, PPK_costs);
+                long long c;
+                if (costs == NULL ||
+                    gll(costs, PPK_cycle_accounting, &c) < 0)
+                    goto fail;
+                return ppgen_yield(g, c, GS_POLL_ROUND, pres);
+            }
+            g->state = GS_POLL_ROUND;
+            break;
+        }
+
+        case GS_POLL_ROUND: {
+            PyObject *lim = gdr(drv, PPK_cycle_limiter), *ctr, *devices;
+            if (lim == NULL)
+                goto fail;
+            if (lim != Py_None)  /* pass_start = cpu.read_cycle_counter() */
+                g->pass_start = pp_ns_to_cycles(p->sim->now_ns, g->c3);
+            ctr = gdr(drv, PPK_poll_rounds);
+            if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                goto fail;
+            devices = gdr(drv, PPK_devices);
+            if (devices == NULL)
+                goto fail;
+            g->count = PyObject_Length(devices);
+            if (g->count < 0)
+                goto fail;
+            g->any_work = 0;
+            g->offset = 0;
+            g->state = GS_POLL_DEV;
+            break;
+        }
+
+        case GS_POLL_DEV: {
+            PyObject *devices, *costs, *driver;
+            long long rr, c;
+            if (g->offset >= g->count) {
+                g->state = GS_POLL_ENDPASS;
+                break;
+            }
+            devices = gdr(drv, PPK_devices);
+            if (devices == NULL || gll(drv, PPK__rr_index, &rr) < 0)
+                goto fail;
+            driver = PySequence_GetItem(devices, (rr + g->offset) % g->count);
+            if (driver == NULL)
+                goto fail;
+            Py_XSETREF(g->dev, driver);
+            costs = gdr(drv, PPK_costs);
+            if (costs == NULL || gll(costs, PPK_poll_device_check, &c) < 0)
+                goto fail;
+            return ppgen_yield(g, c, GS_POLL_RX, pres);
+        }
+
+        case GS_POLL_RX: {
+            /* if self.input_allowed and driver.rx_pending():
+             *     driver.rx_callback(self.quota.rx) */
+            PyObject *quota, *ctr, *costs;
+            long long limit = 0, pending, c;
+            int inhibited = pp_truth(drv, PPK__inhibit_reasons), t = 0;
+            int bounded;
+            if (inhibited < 0)
+                goto fail;
+            if (!inhibited) {
+                t = pp_truth(dev, PPK_rx_service_needed);
+                if (t == 0) {
+                    if (pp_rx_pending(dev, &pending) < 0)
+                        goto fail;
+                    t = pending > 0;
+                }
+                if (t < 0)
+                    goto fail;
+            }
+            if (!t) {
+                g->state = GS_POLL_TX;
+                break;
+            }
+            quota = gdr(drv, PPK_quota);
+            quota = quota ? PyObject_GetAttr(quota, pp_keys[PPK_rx]) : NULL;
+            if (quota == NULL)
+                goto fail;
+            t = pp_quota(quota, &bounded, &limit);
+            Py_DECREF(quota);
+            if (t < 0)
+                goto fail;
+            /* rx_callback's head */
+            ctr = gdr(dev, PPK_rx_callback_runs);
+            if (ctr == NULL || counter_inc(ctr, 1) < 0 ||
+                sd(dev, PPK_rx_service_needed, Py_False) < 0 ||
+                (costs = gdr(dev, PPK_costs)) == NULL ||
+                gll(costs, PPK_polled_rx_per_packet, &c) < 0)
+                goto fail;
+            ppgen_drain(g, DR_COUNT | DR_GATE | (bounded ? DR_BOUND : 0),
+                        limit, c, GS_POLL_RXDONE);
+            break;
+        }
+
+        case GS_POLL_RXDONE: {
+            /* the tail of rx_callback */
+            long long pending;
+            if (pp_rx_pending(dev, &pending) < 0)
+                goto fail;
+            if (pending > 0) {
+                PyObject *trace;
+                if (sd(dev, PPK_rx_service_needed, Py_True) < 0)
+                    goto fail;
+                trace = gdr(dev, PPK_trace);
+                if (trace == NULL ||
+                    (trace != Py_None &&
+                     pp_record_exhaust(trace, dev, g->dr_handled,
+                                       pending) < 0))
+                    goto fail;
+            }
+            if (g->dr_handled)
+                g->any_work = 1;
+            g->state = GS_POLL_TX;
+            break;
+        }
+
+        case GS_POLL_TX: {
+            /* if driver.tx_pending(): driver.tx_callback(self.quota.tx) */
+            PyObject *quota, *ctr;
+            int t = pp_truth(dev, PPK_tx_service_needed);
+            if (t == 0)
+                t = pp_tx_work(dev);
+            if (t < 0)
+                goto fail;
+            if (!t) {
+                g->offset += 1;
+                g->state = GS_POLL_DEV;
+                break;
+            }
+            quota = gdr(drv, PPK_quota);
+            quota = quota ? PyObject_GetAttr(quota, pp_keys[PPK_tx]) : NULL;
+            if (quota == NULL)
+                goto fail;
+            /* tx_callback's head */
+            ctr = gdr(dev, PPK_tx_callback_runs);
+            t = ctr == NULL || counter_inc(ctr, 1) < 0 ||
+                sd(dev, PPK_tx_service_needed, Py_False) < 0 ||
+                ppgen_tx_service(g, quota, GS_POLL_TXDONE) < 0;
+            Py_DECREF(quota);
+            if (t)
+                goto fail;
+            break;
+        }
+
+        case GS_POLL_TXDONE: {
+            /* the tail of tx_callback */
+            int t = pp_tx_work(dev);
+            if (t < 0 || (t && sd(dev, PPK_tx_service_needed, Py_True) < 0))
+                goto fail;
+            if (g->moved)
+                g->any_work = 1;
+            g->offset += 1;
+            g->state = GS_POLL_DEV;
+            break;
+        }
+
+        case GS_POLL_ENDPASS: {
+            PyObject *lim;
+            long long rr;
+            if (gll(drv, PPK__rr_index, &rr) < 0 ||
+                sll(drv, PPK__rr_index,
+                    (rr + 1) % (g->count > 1 ? g->count : 1)) < 0)
+                goto fail;
+            lim = gdr(drv, PPK_cycle_limiter);
+            if (lim == NULL)
+                goto fail;
+            if (lim != Py_None) {
+                PyObject *costs = gdr(drv, PPK_costs);
+                long long c;
+                if (costs == NULL ||
+                    gll(costs, PPK_cycle_accounting, &c) < 0)
+                    goto fail;
+                return ppgen_yield(g, c, GS_POLL_CHARGE, pres);
+            }
+            g->state = GS_POLL_IDLE;
+            break;
+        }
+
+        case GS_POLL_CHARGE: {
+            PyObject *lim = gdr(drv, PPK_cycle_limiter);
+            if (lim == NULL ||
+                pp_limiter_charge(
+                    lim, pp_ns_to_cycles(p->sim->now_ns, g->c3) -
+                             g->pass_start) < 0)
+                goto fail;
+            g->state = GS_POLL_IDLE;
+            break;
+        }
+
+        case GS_POLL_IDLE: {
+            /* No work pending anywhere: re-enable interrupts
+             * (PolledDriver.enable_interrupts), then sleep. */
+            PyObject *devices;
+            Py_ssize_t i;
+            int t;
+            if (g->any_work) {
+                g->state = GS_POLL_PASS;
+                break;
+            }
+            devices = gdr(drv, PPK_devices);
+            if (devices == NULL || !PyList_Check(devices)) {
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_TypeError,
+                                    "packetpath: devices must be a list");
+                goto fail;
+            }
+            Py_INCREF(devices);
+            for (i = 0; i < PyList_GET_SIZE(devices); i++) {
+                /* driver.enable_interrupts(rx_allowed=self.input_allowed) */
+                PyObject *d = PyList_GET_ITEM(devices, i), *line, *nic;
+                long long n;
+                int rc = -1;
+                Py_INCREF(d);
+                t = pp_truth(drv, PPK__inhibit_reasons);
+                if (t == 0) {
+                    line = gdr(d, PPK_rx_line);
+                    if (line != NULL && pp_line_enable(line) == 0 &&
+                        pp_rx_pending(d, &n) == 0 &&
+                        pp_request_if(line, n) == 0)
+                        rc = 0;
+                }
+                else if (t > 0)
+                    rc = 0;
+                if (rc == 0) {
+                    line = gdr(d, PPK_tx_line);
+                    nic = gdr(d, PPK_nic);
+                    if (line == NULL || nic == NULL ||
+                        pp_line_enable(line) < 0 ||
+                        gll(nic, PPK__tx_done, &n) < 0 ||
+                        pp_request_if(line, n) < 0)
+                        rc = -1;
+                }
+                Py_DECREF(d);
+                if (rc < 0) {
+                    Py_DECREF(devices);
+                    goto fail;
+                }
+            }
+            Py_DECREF(devices);
+            t = pp_truth(drv, PPK__wake_pending);
+            if (t < 0)
+                goto fail;
+            if (t) {
+                if (sd(drv, PPK__wake_pending, Py_False) < 0)
+                    goto fail;
+                g->state = GS_POLL_PASS;
+                break;
+            }
+            return ppgen_wait(g, GS_POLL_WOKE, pres);
+        }
+
+        case GS_POLL_WOKE:
+            if (sd(drv, PPK__wake_pending, Py_False) < 0)
+                goto fail;
+            g->state = GS_POLL_PASS;
+            break;
+
+        /* ---- HybridDriver._napi_body ------------------------------ */
+
+        case GS_NAPI_TOP: {
+            int t = pp_truth(drv, PPK__scheduled);
+            if (t < 0)
+                goto fail;
+            if (!t)
+                return ppgen_wait(g, GS_NAPI_WOKE, pres);
+            g->state = GS_NAPI_WOKE;
+            break;
+        }
+
+        case GS_NAPI_WOKE: {
+            long long delay;
+            if (sd(drv, PPK__scheduled, Py_False) < 0 ||
+                gll(drv, PPK_coalesce_ns, &delay) < 0)
+                goto fail;
+            g->handled = 0;           /* drained */
+            if (delay > 0)
+                /* Hold off the drain so further arrivals share it. */
+                return ppgen_sleep(g, delay, GS_NAPI_PASS, pres);
+            g->state = GS_NAPI_PASS;
+            break;
+        }
+
+        case GS_NAPI_PASS: {
+            PyObject *ctr = gdr(drv, PPK_napi_polls);
+            if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                goto fail;
+            return ppgen_yield(g, g->c1, GS_NAPI_RX, pres);
+        }
+
+        case GS_NAPI_RX:
+            if (sd(drv, PPK_rx_service_needed, Py_False) < 0)
+                goto fail;
+            ppgen_drain(g, DR_COUNT | (g->bounded ? DR_BOUND : 0), g->quota,
+                        g->c2, GS_NAPI_RXDONE);
+            break;
+
+        case GS_NAPI_RXDONE: {
+            long long pending;
+            PyObject *quota;
+            int rc;
+            if (g->dr_handled) {
+                if (pp_rx_pending(drv, &pending) < 0)
+                    goto fail;
+                if (pending > 0) {
+                    PyObject *trace = gdr(drv, PPK_trace);
+                    if (trace == NULL)
+                        goto fail;
+                    if (trace != Py_None &&
+                        (pp_rx_pending(drv, &pending) < 0 ||
+                         pp_record_exhaust(trace, drv, g->dr_handled,
+                                           pending) < 0))
+                        goto fail;
+                }
+            }
+            if (sd(drv, PPK_tx_service_needed, Py_False) < 0)
+                goto fail;
+            quota = g->bounded ? PyLong_FromLongLong(g->quota) : Py_None;
+            if (quota == NULL)
+                goto fail;
+            rc = ppgen_tx_service(g, quota, GS_NAPI_TXDONE);
+            if (g->bounded)
+                Py_DECREF(quota);
+            if (rc < 0)
+                goto fail;
+            break;
+        }
+
+        case GS_NAPI_TXDONE: {
+            /* drained += handled; self._adapt(drained, handled) */
+            long long limit, cur, handled = g->dr_handled, q;
+            long long pending;
+            int more;
+            g->handled += handled;
+            if (gll(drv, PPK_coalesce_max_ns, &limit) < 0)
+                goto fail;
+            if (limit != 0) {
+                int bounded;
+                if (pp_quota(gdr(drv, PPK_quota), &bounded, &q) < 0 ||
+                    gll(drv, PPK_coalesce_ns, &cur) < 0)
+                    goto fail;
+                if (!bounded)
+                    q = 16;
+                if (handled < q / 2 && cur) {
+                    long long shrunk = cur / 2;
+                    PyObject *ctr;
+                    if (shrunk < pps.min_coalesce_ns)
+                        shrunk = 0;
+                    ctr = gdr(drv, PPK_coalesce_decays);
+                    if (sll(drv, PPK_coalesce_ns, shrunk) < 0 ||
+                        ctr == NULL || counter_inc(ctr, 1) < 0)
+                        goto fail;
+                } else if (g->handled >= q * 2) {
+                    long long grown = cur ? cur * 2 : pps.min_coalesce_ns;
+                    if (grown > limit)
+                        grown = limit;
+                    if (grown != cur) {
+                        PyObject *ctr = gdr(drv, PPK_coalesce_grows);
+                        if (sll(drv, PPK_coalesce_ns, grown) < 0 ||
+                            ctr == NULL || counter_inc(ctr, 1) < 0)
+                            goto fail;
+                    }
+                }
+            }
+            if (pp_rx_pending(drv, &pending) < 0)
+                goto fail;
+            more = pending > 0 ? 1 : pp_tx_work(drv);
+            if (more < 0)
+                goto fail;
+            if (more) {
+                g->state = GS_NAPI_PASS;
+                break;
+            }
+            /* Work complete: re-arm the interrupt lines (NAPI
+             * "complete"). */
+            {
+                PyObject *rxl = gdr(drv, PPK_rx_line);
+                PyObject *txl = gdr(drv, PPK_tx_line);
+                PyObject *nic = gdr(drv, PPK_nic);
+                long long done;
+                if (rxl == NULL || txl == NULL || nic == NULL ||
+                    pp_line_enable(rxl) < 0 ||
+                    pp_rx_pending(drv, &pending) < 0 ||
+                    pp_request_if(rxl, pending) < 0 ||
+                    pp_line_enable(txl) < 0 ||
+                    gll(nic, PPK__tx_done, &done) < 0 ||
+                    pp_request_if(txl, done) < 0)
+                    goto fail;
+            }
+            g->state = GS_NAPI_TOP;
+            break;
+        }
+
+        /* ---- ClockedPollingDriver._poll_body ---------------------- */
+
+        case GS_CLK_TOP: {
+            int t = pp_truth(drv, PPK__interval_dirty);
+            if (t < 0)
+                goto fail;
+            if (t && (sd(drv, PPK__interval_dirty, Py_False) < 0 ||
+                      gll(drv, PPK_poll_interval_ns, &g->c3) < 0))
+                goto fail;
+            return ppgen_sleep(g, g->c3, GS_CLK_POLL, pres);
+        }
+
+        case GS_CLK_POLL: {
+            /* Fixed cost of waking up and inspecting the device, paid
+             * on every period whether or not anything arrived. */
+            PyObject *ctr = gdr(drv, PPK_polls);
+            if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                goto fail;
+            return ppgen_yield(g, g->c1, GS_CLK_RX, pres);
+        }
+
+        case GS_CLK_RX:
+            ppgen_drain(g,
+                        DR_COUNT | DR_LIVE | (g->batch_pull ? DR_BATCH : 0),
+                        0, g->c2, GS_CLK_RXDONE);
+            break;
+
+        case GS_CLK_RXDONE: {
+            PyObject *trace = gdr(drv, PPK_trace);
+            if (trace == NULL)
+                goto fail;
+            if (trace != Py_None && g->dr_handled) {
+                long long pending;
+                if (pp_rx_pending(drv, &pending) < 0 ||
+                    (pending > 0 &&
+                     pp_record_exhaust(trace, drv, g->dr_handled,
+                                       pending) < 0))
+                    goto fail;
+            }
+            if (ppgen_tx_service(g, gdr(drv, PPK_quota), GS_CLK_TXDONE) < 0)
+                goto fail;
+            break;
+        }
+
+        case GS_CLK_TXDONE:
+            if (!g->dr_handled && !g->moved) {
+                PyObject *ctr = gdr(drv, PPK_idle_polls);
+                if (ctr == NULL || counter_inc(ctr, 1) < 0)
+                    goto fail;
+            }
+            g->state = GS_CLK_TOP;
+            break;
+
+        /* ---- ClassicIPInput._netisr_body -------------------------- */
+
+        case GS_NETISR_DRAIN:
+            ppgen_drain(g, DR_IPINTRQ, 0, g->c1, GS_NETISR_WAIT);
+            break;
+
+        case GS_NETISR_WAIT:
+            return ppgen_wait(g, GS_NETISR_DRAIN, pres);
+
+        /* ---- Kernel._idle_body ------------------------------------ */
+
+        case GS_IDLE_LOOP:
+            if (g->hooks) {
+                PyObject *hooks = gdr(drv, PPK_on_idle);
+                Py_ssize_t i;
+                if (hooks == NULL)
+                    goto fail;
+                if (!PyList_Check(hooks)) {
+                    PyErr_SetString(PyExc_TypeError,
+                                    "packetpath: on_idle must be a list");
+                    goto fail;
+                }
+                Py_INCREF(hooks);
+                for (i = 0; i < PyList_GET_SIZE(hooks); i++) {
+                    PyObject *hook = PyList_GET_ITEM(hooks, i), *r;
+                    Py_INCREF(hook);
+                    r = PyObject_CallNoArgs(hook);
+                    Py_DECREF(hook);
+                    if (r == NULL) {
+                        Py_DECREF(hooks);
+                        goto fail;
+                    }
+                    Py_DECREF(r);
+                }
+                Py_DECREF(hooks);
+            }
+            return ppgen_yield(g, g->c1, GS_IDLE_LOOP, pres);
+
         default:
             PyErr_SetString(PyExc_SystemError,
                             "packetpath: corrupt PPGen state");
@@ -5868,18 +6592,24 @@ ppgen_new(PPIrq *proto)
     }
     Py_INCREF(proto);
     g->proto = proto;
+    Py_INCREF(proto->owner);
+    g->dev = proto->owner;
     g->sub = NULL;
     g->packet = NULL;
     g->batch = NULL;
     g->work = work;
-    g->c1 = g->c2 = 0;
+    g->wait = NULL;
+    g->sleep = NULL;
+    g->c1 = g->c2 = g->c3 = 0;
     g->handled = g->moved = g->tsq = 0;
-    g->state = GS_PRELUDE;
-    g->ip_cont = GS_PRELUDE;
-    g->ts_ret = GS_PRELUDE;
-    g->tsq_none = 0;
-    g->batch_pull = 0;
-    g->captured = 0;
+    g->dr_limit = g->dr_handled = g->dr_cycles = 0;
+    g->pass_start = g->offset = g->count = g->quota = 0;
+    /* A handler starts with the dispatch prelude, a thread at once. */
+    g->state = proto->line != NULL ? GS_PRELUDE : GS_START;
+    g->ip_cont = g->ts_ret = g->dr_ret = GS_RETURN;
+    g->dr_flags = 0;
+    g->tsq_none = g->batch_pull = g->bounded = g->any_work = 0;
+    g->hooks = g->flag = 0;
     g->closed = 0;
     PyObject_GC_Track(g);
     return (PyObject *)g;
@@ -5932,6 +6662,93 @@ static PyTypeObject PPIrq_Type = {
     .tp_traverse = (traverseproc)ppirq_traverse,
     .tp_clear = (inquiry)ppirq_clear,
 };
+
+/* ---- kernel-thread body factories -----------------------------------
+ *
+ * packetpath.install shadows each owner's body factory with one of
+ * these (``polling._body``, ``driver._napi_body``, ...): calling it
+ * returns a PPGen for a thread proto, which the spawned task runs from
+ * its first resume. */
+
+static PyObject *
+pp_thread_body(PPCtx *ctx, int kind, int hooks)
+{
+    PPIrq *p = PyObject_GC_New(PPIrq, &PPIrq_Type);
+    PyObject *g;
+    if (p == NULL)
+        return NULL;
+    p->kind = kind;
+    p->ipl = 0;
+    p->line = p->cpu = p->name = p->work_label = p->key = p->done_cb = NULL;
+    Py_INCREF(ctx->owner);
+    p->owner = ctx->owner;
+    Py_INCREF(ctx->sim);
+    p->sim = ctx->sim;
+    PyObject_GC_Track(p);
+    g = ppgen_new(p);
+    Py_DECREF(p);
+    if (g != NULL)
+        ((PPGenObject *)g)->hooks = hooks;
+    return g;
+}
+
+static PyObject *
+ppf_body_poll(PyObject *self, PyObject *noarg)
+{
+    return pp_thread_body((PPCtx *)self, PPT_POLL, 0);
+}
+
+static PyObject *
+ppf_body_napi(PyObject *self, PyObject *noarg)
+{
+    return pp_thread_body((PPCtx *)self, PPT_NAPI, 0);
+}
+
+static PyObject *
+ppf_body_clocked(PyObject *self, PyObject *noarg)
+{
+    return pp_thread_body((PPCtx *)self, PPT_CLOCKED, 0);
+}
+
+static PyObject *
+ppf_body_netisr(PyObject *self, PyObject *noarg)
+{
+    return pp_thread_body((PPCtx *)self, PPT_NETISR, 0);
+}
+
+/* Kernel._idle_body(run_hooks=True) */
+static PyObject *
+ppf_body_idle(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+              PyObject *kwnames)
+{
+    Py_ssize_t nkw = kwnames != NULL ? PyTuple_GET_SIZE(kwnames) : 0;
+    int run_hooks = 1;
+    if (nargs + nkw > 1 ||
+        (nkw == 1 && PyUnicode_CompareWithASCIIString(
+                         PyTuple_GET_ITEM(kwnames, 0), "run_hooks") != 0)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_idle_body() takes one argument, run_hooks");
+        return NULL;
+    }
+    if (nargs + nkw == 1) {
+        run_hooks = PyObject_IsTrue(args[0]);
+        if (run_hooks < 0)
+            return NULL;
+    }
+    return pp_thread_body((PPCtx *)self, PPT_IDLE, run_hooks);
+}
+
+static PyMethodDef def_body_poll = {
+    "_body", (PyCFunction)ppf_body_poll, METH_NOARGS, NULL};
+static PyMethodDef def_body_napi = {
+    "_napi_body", (PyCFunction)ppf_body_napi, METH_NOARGS, NULL};
+static PyMethodDef def_body_clocked = {
+    "_poll_body", (PyCFunction)ppf_body_clocked, METH_NOARGS, NULL};
+static PyMethodDef def_body_netisr = {
+    "_netisr_body", (PyCFunction)ppf_body_netisr, METH_NOARGS, NULL};
+static PyMethodDef def_body_idle = {
+    "_idle_body", (PyCFunction)(void (*)(void))ppf_body_idle,
+    METH_FASTCALL | METH_KEYWORDS, NULL};
 
 /* ---- exit callback: InterruptController._handler_done --------------- */
 
@@ -6247,6 +7064,12 @@ corec_pp_irq_proto(PyObject *mod, PyObject *args)
         k = PPIRQ_POLLED_RX;
     else if (strcmp(kind, "polled_tx") == 0)
         k = PPIRQ_POLLED_TX;
+    else if (strcmp(kind, "hybrid_rx") == 0)
+        k = PPIRQ_HYBRID_RX;
+    else if (strcmp(kind, "hybrid_tx") == 0)
+        k = PPIRQ_HYBRID_TX;
+    else if (strcmp(kind, "softnet") == 0)
+        k = PPIRQ_SOFTNET;
     else if (strcmp(kind, "clock") == 0)
         k = PPIRQ_CLOCK;
     else {
@@ -6313,10 +7136,7 @@ typedef struct {
 } PPBindSpec;
 
 static PPBindSpec pp_bind_specs[] = {
-    {"cpu.add_work", &def_cpu_add_work, "add_work"},
     {"cpu.requeue_behind", &def_cpu_requeue, "requeue_behind"},
-    {"cpu.on_task_ipl_changed", &def_cpu_ipl_changed, "on_task_ipl_changed"},
-    {"cpu.remove_task", &def_cpu_remove, "remove_task"},
     {"cpu._complete", &def_cpu_complete, "_complete"},
     {"cpu.task", &def_cpu_task, "task"},
     {"task.deliver", &def_task_deliver, "deliver"},
@@ -6324,14 +7144,12 @@ static PPBindSpec pp_bind_specs[] = {
     {"nic.rx_pull", &def_nic_rx_pull, "rx_pull"},
     {"nic.rx_pull_many", &def_nic_rx_pull_many, "rx_pull_many"},
     {"nic.rx_pending", &def_nic_rx_pending, "rx_pending"},
-    {"nic.tx_free_slots", &def_nic_tx_free, "tx_free_slots"},
     {"nic.tx_done_slots", &def_nic_tx_done, "tx_done_slots"},
     {"nic.tx_enqueue", &def_nic_tx_enqueue, "tx_enqueue"},
     {"nic.tx_reclaim", &def_nic_tx_reclaim, "tx_reclaim"},
     {"nic._transmit_complete", &def_nic_txcomplete, "_transmit_complete"},
     {"queue.enqueue", &def_pq_enqueue, "enqueue"},
     {"queue.dequeue", &def_pq_dequeue, "dequeue"},
-    {"queue.enqueue_red", &def_red_enqueue, "enqueue"},
     {"ip._dispatch", &def_ip_dispatch, "_dispatch"},
     {"line.request", &def_line_request, "request"},
     {"ctrl.try_deliver", &def_ctrl_try_deliver, "try_deliver"},
@@ -6341,7 +7159,11 @@ static PPBindSpec pp_bind_specs[] = {
     {"driver.output_kick_poll", &def_driver_output_poll, "output"},
     {"driver.output_plain", &def_driver_output_plain, "output"},
     {"router._on_output_transmit", &def_router_out, NULL},
-    {"router._on_input_transmit", &def_router_in, NULL},
+    {"polling._body", &def_body_poll, "_body"},
+    {"hybrid._napi_body", &def_body_napi, "_napi_body"},
+    {"clocked._poll_body", &def_body_clocked, "_poll_body"},
+    {"ipinput._netisr_body", &def_body_netisr, "_netisr_body"},
+    {"kernel._idle_body", &def_body_idle, "_idle_body"},
     {"gen.tick_constant", &def_gen_tick_constant, "_tick"},
     {"gen.tick_poisson", &def_gen_tick_poisson, "_tick"},
     {"gen.tick_bursty", &def_gen_tick_bursty, "_tick"},

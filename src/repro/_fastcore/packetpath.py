@@ -18,6 +18,12 @@ compiled ``deliver``, whose context holds the task; the C port of
 IRQ handler task is freed by refcounting, not left as a reference
 cycle for the collector (DESIGN.md §13).
 
+Kernel threads are bound the same way, one step earlier: ``install``
+shadows each thread owner's body factory (``polling._body``,
+``driver._napi_body``, ``driver._poll_body``, ``ip_input._netisr_body``,
+``kernel._idle_body``), so the task ``Router.start`` spawns runs a
+compiled state machine from its first resume (DESIGN.md §13).
+
 Every core is bound the same way: each CPU in ``kernel.cpus``, each
 controller in ``kernel.controllers`` and each line in
 ``kernel.irq_lines()`` gets its own entry points, and a C body finds its
@@ -61,7 +67,6 @@ def available(sim) -> bool:
 
 #: Bind kinds whose instance-attribute name differs from the kind suffix.
 _ATTR_OVERRIDES = {
-    "queue.enqueue_red": "enqueue",
     "driver.output_kick_irq": "output",
     "driver.output_kick_poll": "output",
     "driver.output_plain": "output",
@@ -77,7 +82,6 @@ _NIC_KINDS = (
     "nic.rx_pull",
     "nic.rx_pull_many",
     "nic.rx_pending",
-    "nic.tx_free_slots",
     "nic.tx_done_slots",
     "nic.tx_enqueue",
     "nic.tx_reclaim",
@@ -92,13 +96,14 @@ def _bind(state, kind, owner, sim, extras=None):
 
 
 def install(router) -> bool:
-    """Bind the compiled CPU engine on every core at the end of
-    ``Router.__init__``.
+    """Bind the compiled CPU engine on every core, and the compiled
+    kernel-thread bodies, at the end of ``Router.__init__``.
 
     No task exists yet: every task (idle loops, kernel threads, driver
     IRQ handlers, softnet/netisr, apps) is spawned in ``Router.start``
     through the wrapped ``cpu.task`` of its core and gets a compiled
-    ``deliver`` there.
+    ``deliver`` there. Each kernel thread's owner has its body factory
+    shadowed here, so the thread runs a C state machine from spawn.
     """
     sim = router.sim
     if not available(sim):
@@ -108,17 +113,47 @@ def install(router) -> bool:
         for cpu in router.kernel.cpus:
             # Capture the original bound method before shadowing it.
             _bind(state, "cpu.task", cpu, sim, (cpu.task,))
-            _bind(state, "cpu.add_work", cpu, sim)
             _bind(state, "cpu.requeue_behind", cpu, sim)
-            _bind(state, "cpu.on_task_ipl_changed", cpu, sim)
-            _bind(state, "cpu.remove_task", cpu, sim)
             _bind(state, "cpu._complete", cpu, sim)
+        for owner, kind in _thread_bodies(router):
+            _bind(state, kind, owner, sim)
     except Exception:
         router.__dict__[_PP_STATE] = state
         uninstall(router)
         raise
     router.__dict__[_PP_STATE] = state
     return True
+
+
+def _thread_bodies(router):
+    """``(owner, kind)`` for every kernel-thread body ported to C.
+
+    Exact-type gates: a subclass may override what the C body replays.
+    """
+    from ..core.cyclelimit import CycleLimiter
+    from ..core.polling import PollingSystem
+    from ..drivers.bsd import ClassicIPInput
+    from ..drivers.clocked import ClockedPollingDriver
+    from ..drivers.hybrid import HybridDriver
+    from ..drivers.polled import PolledDriver
+    from ..kernel.kernel import Kernel
+
+    if type(router.kernel) is Kernel:
+        yield router.kernel, "kernel._idle_body"
+    for system in router.polling_systems:
+        if (
+            type(system) is PollingSystem
+            and type(system.cycle_limiter) in (type(None), CycleLimiter)
+            and all(type(d) is PolledDriver for d in system.devices)
+        ):
+            yield system, "polling._body"
+    for drv in (router.driver_in, router.driver_out):
+        if type(drv) is HybridDriver:
+            yield drv, "hybrid._napi_body"
+        elif type(drv) is ClockedPollingDriver:
+            yield drv, "clocked._poll_body"
+    if type(router.ip_input) is ClassicIPInput:
+        yield router.ip_input, "ipinput._netisr_body"
 
 
 def install_started(router) -> bool:
@@ -133,22 +168,19 @@ def install_started(router) -> bool:
     sim = router.sim
     if not available(sim):
         return False
-    from ..drivers.bsd import BsdDriver
+    from ..drivers.bsd import BsdDriver, ClassicIPInput
     from ..drivers.clocked import ClockedPollingDriver
     from ..drivers.highipl import HighIplDriver
+    from ..drivers.hybrid import HybridDriver
     from ..drivers.polled import PolledDriver
-    from ..kernel.queues import PacketQueue, REDQueue
+    from ..kernel.queues import PacketQueue
 
     def bind_queue(q):
-        # Exact-type gate: a subclass may override the ported bodies.
-        t = type(q)
-        if t is REDQueue:
-            _bind(state, "queue.enqueue_red", q, sim)
-        elif t is PacketQueue:
+        # Exact-type gate: a subclass (RED among them) keeps its Python
+        # bodies.
+        if type(q) is PacketQueue:
             _bind(state, "queue.enqueue", q, sim)
-        else:
-            return
-        _bind(state, "queue.dequeue", q, sim)
+            _bind(state, "queue.dequeue", q, sim)
 
     try:
         for nic in (router.nic_in, router.nic_out):
@@ -189,8 +221,8 @@ def install_started(router) -> bool:
             _bind(state, "line.request", line, sim)
         # Compiled IRQ dispatch: protos let try_deliver build the
         # handler task on the line's core and run its body as a C state
-        # machine. Lines without a proto (softnet, hybrid) fall back to
-        # the Python try_deliver from inside the C binding.
+        # machine. A line without a proto (a subclassed driver's) falls
+        # back to the Python try_deliver from inside the C binding.
         for ctrl in router.kernel.controllers:
             _bind(state, "ctrl.try_deliver", ctrl, sim)
             _bind(state, "ctrl._on_ipl_change", ctrl, sim)
@@ -208,35 +240,34 @@ def install_started(router) -> bool:
                     state["dict_restore"].append((observers, i, cb))
                     observers[i] = ctrl.__dict__["_on_ipl_change"]
                     break
+        protos = []
         for drv in (router.driver_in, router.driver_out):
             t = type(drv)
             if t is BsdDriver:
-                protos = (("bsd_rx", drv.rx_line), ("bsd_tx", drv.tx_line))
+                kinds = ("bsd_rx", "bsd_tx")
             elif t is HighIplDriver:
-                protos = (
-                    ("highipl", drv.rx_line),
-                    ("highipl", drv.tx_line),
-                )
+                kinds = ("highipl", "highipl")
             elif t is PolledDriver:
-                protos = (
-                    ("polled_rx", drv.rx_line),
-                    ("polled_tx", drv.tx_line),
-                )
+                kinds = ("polled_rx", "polled_tx")
+            elif t is HybridDriver:
+                kinds = ("hybrid_rx", "hybrid_tx")
             else:
-                protos = ()
-            for irq_kind, line in protos:
-                _c.pp_irq_proto(irq_kind, line, drv, sim)
-                state["bound"].append((line, "_pp_irq"))
+                continue
+            protos.append((kinds[0], drv.rx_line, drv))
+            protos.append((kinds[1], drv.tx_line, drv))
+        ip_input = router.ip_input
+        if type(ip_input) is ClassicIPInput and ip_input._softnet_line is not None:
+            protos.append(("softnet", ip_input._softnet_line, ip_input))
+        for irq_kind, line, owner in protos:
+            _c.pp_irq_proto(irq_kind, line, owner, sim)
+            state["bound"].append((line, "_pp_irq"))
         clock_line = router.kernel.clock.line
         _c.pp_irq_proto("clock", clock_line, router.kernel, sim)
         state["bound"].append((clock_line, "_pp_irq"))
-        for nic, kind in (
-            (router.nic_out, "router._on_output_transmit"),
-            (router.nic_in, "router._on_input_transmit"),
-        ):
-            fn = _c.pp_bind(kind, router, sim)
-            state["restore"].append((nic, "on_transmit", nic.on_transmit))
-            nic.on_transmit = fn
+        nic = router.nic_out
+        fn = _c.pp_bind("router._on_output_transmit", router, sim)
+        state["restore"].append((nic, "on_transmit", nic.on_transmit))
+        nic.on_transmit = fn
     except Exception:
         uninstall(router)
         raise

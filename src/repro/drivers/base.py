@@ -17,6 +17,79 @@ from ..net.ip import IPLayer
 from ..net.packet import Packet
 from ..sim.process import Work
 
+#: ``drain(quota=LIVE_QUOTA)`` re-reads ``owner.quota`` before every
+#: packet: the mitigation controller retunes the clocked driver's quota
+#: from a clock callout, which can land mid-drain.
+LIVE_QUOTA = object()
+
+
+def drain(
+    owner,
+    pull,
+    work: Work,
+    counter=None,
+    quota=None,
+    polling=None,
+    acknowledge=None,
+    batch: bool = False,
+):
+    """Process received packets to completion, one at a time.
+
+    The one per-packet loop of every receive context: the polling
+    thread's RX callback, the NAPI, clocked and netisr threads, the
+    high-IPL handler and the softirq. Each packet is taken from
+    ``pull``, parked in ``owner.in_flight`` while this frame holds it
+    (teardown recovers it from there), charged ``work``, counted on
+    ``counter`` and run through ``owner.ip.input_packet``.
+
+    The drain ends when ``pull`` runs dry or a stop test fires. Both
+    stop tests are re-checked before every packet:
+
+    * ``quota`` bounds the packets handled (None: no bound), or is
+      :data:`LIVE_QUOTA`;
+    * ``polling``: stop as soon as its input is inhibited (by feedback,
+      the cycle limit or mitigation, possibly mid-drain).
+
+    ``acknowledge`` runs before every pull. With ``batch``, ``pull`` is
+    ``rx_pull_many``: one call takes up to the quota, and the batch
+    (oldest last) stays in ``in_flight`` until it is consumed. Returns
+    the number of packets handled.
+    """
+    input_packet = owner.ip.input_packet
+    handled = 0
+    if batch:
+        packets = pull(owner.quota if quota is LIVE_QUOTA else quota)
+        packets.reverse()
+        owner.in_flight = packets
+        while packets:
+            packet = packets[-1]
+            yield work
+            counter.increment()
+            yield from input_packet(packet)
+            packets.pop()
+            handled += 1
+        owner.in_flight = None
+        return handled
+    while True:
+        limit = owner.quota if quota is LIVE_QUOTA else quota
+        if limit is not None and handled >= limit:
+            break
+        if polling is not None and not polling.input_allowed:
+            break
+        if acknowledge is not None:
+            acknowledge()
+        packet = pull()
+        if packet is None:
+            break
+        owner.in_flight = packet
+        yield work
+        if counter is not None:
+            counter.increment()
+        yield from input_packet(packet)
+        owner.in_flight = None
+        handled += 1
+    return handled
+
 
 class Driver:
     """Base class: interface naming, ifqueue, and shared bookkeeping."""

@@ -28,7 +28,7 @@ from ..net.ip import IPLayer
 from ..net.packet import Packet
 from ..sim.process import WaitSignal, Work
 from ..sim.signals import Signal
-from .base import Driver
+from .base import Driver, drain
 
 
 class ClassicIPInput:
@@ -132,34 +132,20 @@ class ClassicIPInput:
 
     def _softirq_body(self):
         """SPLNET handler: drain ipintrq completely, then return."""
-        dequeue_work = Work(self.costs.ipintrq_dequeue)
-        acknowledge = self._softnet_line.acknowledge
-        ipintrq_dequeue = self.ipintrq.dequeue
-        input_packet = self.ip.input_packet
-        while True:
-            acknowledge()
-            packet = ipintrq_dequeue()
-            if packet is None:
-                return
-            self.in_flight = packet
-            yield dequeue_work
-            yield from input_packet(packet)
-            self.in_flight = None
+        yield from drain(
+            self,
+            self.ipintrq.dequeue,
+            Work(self.costs.ipintrq_dequeue),
+            acknowledge=self._softnet_line.acknowledge,
+        )
 
     def _netisr_body(self):
         """netisr kernel thread: drain ipintrq, sleep when empty."""
         dequeue_work = Work(self.costs.ipintrq_dequeue)
         ipintrq_dequeue = self.ipintrq.dequeue
-        input_packet = self.ip.input_packet
         while True:
-            packet = ipintrq_dequeue()
-            if packet is None:
-                yield WaitSignal(self._netisr_signal)
-                continue
-            self.in_flight = packet
-            yield dequeue_work
-            yield from input_packet(packet)
-            self.in_flight = None
+            yield from drain(self, ipintrq_dequeue, dequeue_work)
+            yield WaitSignal(self._netisr_signal)
 
 
 class BsdDriver(Driver):

@@ -22,7 +22,7 @@ from ..net.ip import IPLayer
 from ..net.packet import Packet
 from ..sim.process import Sleep, Work
 from ..trace.buffer import QUOTA_EXHAUST
-from .base import Driver
+from .base import LIVE_QUOTA, Driver, drain
 
 
 class ClockedPollingDriver(Driver):
@@ -70,9 +70,7 @@ class ClockedPollingDriver(Driver):
     def _poll_body(self):
         costs = self.costs
         batch_pull = self.kernel.config.rx_batch_pull
-        rx_pull = self.nic.rx_pull
-        rx_processed_inc = self.rx_packets_processed.increment
-        input_packet = self.ip.input_packet
+        pull = self.nic.rx_pull_many if batch_pull else self.nic.rx_pull
         sleep_period = Sleep(self.poll_interval_ns)
         poll_work = Work(costs.poll_loop_overhead + costs.poll_device_check)
         per_packet_work = Work(costs.polled_rx_per_packet)
@@ -86,35 +84,15 @@ class ClockedPollingDriver(Driver):
             # every period whether or not anything arrived — the polling
             # overhead side of the dilemma.
             yield poll_work
-            worked = False
-            handled = 0
-            if batch_pull:
-                # The pulled batch lives only in this frame, so expose it
-                # (oldest last, consumed by pop) for mid-flight teardown.
-                batch = self.nic.rx_pull_many(self.quota)
-                batch.reverse()
-                self.in_flight = batch
-                while batch:
-                    packet = batch[-1]
-                    yield per_packet_work
-                    rx_processed_inc()
-                    yield from input_packet(packet)
-                    batch.pop()
-                    handled += 1
-                    worked = True
-                self.in_flight = None
-            else:
-                while self.quota is None or handled < self.quota:
-                    packet = rx_pull()
-                    if packet is None:
-                        break
-                    self.in_flight = packet
-                    yield per_packet_work
-                    rx_processed_inc()
-                    yield from input_packet(packet)
-                    self.in_flight = None
-                    handled += 1
-                    worked = True
+            handled = yield from drain(
+                self,
+                pull,
+                per_packet_work,
+                self.rx_packets_processed,
+                LIVE_QUOTA,
+                batch=batch_pull,
+            )
+            worked = handled > 0
             trace = self.trace
             if trace is not None and handled:
                 pending = self.nic.rx_pending()

@@ -28,7 +28,7 @@ from ..net.ip import IPLayer
 from ..net.packet import Packet
 from ..sim.process import Work
 from ..trace.buffer import QUOTA_EXHAUST
-from .base import Driver
+from .base import LIVE_QUOTA, Driver, drain
 
 
 class HighIplDriver(Driver):
@@ -72,39 +72,18 @@ class HighIplDriver(Driver):
         quota, until no work remains — all at device IPL."""
         batch_pull = self.kernel.config.rx_batch_pull
         per_packet_work = Work(self.costs.polled_rx_per_packet)
-        rx_processed_inc = self.rx_packets_processed.increment
-        input_packet = self.ip.input_packet
         while True:
             self.rx_line.acknowledge()
             self.tx_line.acknowledge()
             self.service_rounds.increment()
-            handled = 0
-            if batch_pull:
-                # The pulled batch lives only in this frame, so expose it
-                # (oldest last, consumed by pop) for mid-flight teardown.
-                batch = self.nic.rx_pull_many(self.quota)
-                batch.reverse()
-                self.in_flight = batch
-                while batch:
-                    packet = batch[-1]
-                    yield per_packet_work
-                    rx_processed_inc()
-                    yield from input_packet(packet)
-                    batch.pop()
-                    handled += 1
-                self.in_flight = None
-            else:
-                rx_pull = self.nic.rx_pull
-                while self.quota is None or handled < self.quota:
-                    packet = rx_pull()
-                    if packet is None:
-                        break
-                    self.in_flight = packet
-                    yield per_packet_work
-                    rx_processed_inc()
-                    yield from input_packet(packet)
-                    self.in_flight = None
-                    handled += 1
+            handled = yield from drain(
+                self,
+                self.nic.rx_pull_many if batch_pull else self.nic.rx_pull,
+                per_packet_work,
+                self.rx_packets_processed,
+                LIVE_QUOTA,
+                batch=batch_pull,
+            )
             trace = self.trace
             if trace is not None and handled:
                 pending = self.nic.rx_pending()

@@ -35,7 +35,7 @@ from ..net.packet import Packet
 from ..sim.process import Sleep, WaitSignal, Work
 from ..sim.signals import Signal
 from ..trace.buffer import QUOTA_EXHAUST
-from .base import Driver
+from .base import Driver, drain
 
 #: Floor of the adaptive timer once it is non-zero; growth starts here
 #: and halving below it snaps to 0 (coalescing fully off).
@@ -132,7 +132,6 @@ class HybridDriver(Driver):
         )
         per_packet_work = Work(self.costs.polled_rx_per_packet)
         quota = self.quota
-        input_packet = self.ip.input_packet
         nic = self.nic
         while True:
             if not self._scheduled:
@@ -146,17 +145,13 @@ class HybridDriver(Driver):
                 self.napi_polls.increment()
                 yield poll_work
                 self.rx_service_needed = False
-                handled = 0
-                while quota is None or handled < quota:
-                    packet = nic.rx_pull()
-                    if packet is None:
-                        break
-                    self.in_flight = packet
-                    yield per_packet_work
-                    self.rx_packets_processed.increment()
-                    yield from input_packet(packet)
-                    self.in_flight = None
-                    handled += 1
+                handled = yield from drain(
+                    self,
+                    nic.rx_pull,
+                    per_packet_work,
+                    self.rx_packets_processed,
+                    quota,
+                )
                 if handled and nic.rx_pending() > 0:
                     trace = self.trace
                     if trace is not None:

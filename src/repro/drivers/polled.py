@@ -28,7 +28,7 @@ from ..net.ip import IPLayer
 from ..net.packet import Packet
 from ..sim.process import Work
 from ..trace.buffer import QUOTA_EXHAUST
-from .base import Driver
+from .base import Driver, drain
 
 
 class PolledDriver(Driver):
@@ -118,28 +118,18 @@ class PolledDriver(Driver):
         """
         self.rx_callback_runs.increment()
         self.rx_service_needed = False
-        polling = self.polling
-        rx_pull = self.nic.rx_pull
-        per_packet_work = Work(self.costs.polled_rx_per_packet)
-        rx_processed_inc = self.rx_packets_processed.increment
-        input_packet = self.ip.input_packet
-        handled = 0
-        while quota is None or handled < quota:
-            if polling is not None and not polling.input_allowed:
-                # Feedback or the cycle limit inhibited input mid-callback:
-                # stop immediately ("inhibit further input processing").
-                break
-            packet = rx_pull()
-            if packet is None:
-                break
-            self.in_flight = packet
-            yield per_packet_work
-            rx_processed_inc()
-            # Processed as far as possible in one go: IP input runs here,
-            # in the polling thread — no ipintrq, no software interrupt.
-            yield from input_packet(packet)
-            self.in_flight = None
-            handled += 1
+        # Processed as far as possible in one go: IP input runs here, in
+        # the polling thread — no ipintrq, no software interrupt. If
+        # feedback or the cycle limit inhibits input mid-callback, the
+        # drain stops at once ("inhibit further input processing").
+        handled = yield from drain(
+            self,
+            self.nic.rx_pull,
+            Work(self.costs.polled_rx_per_packet),
+            self.rx_packets_processed,
+            quota,
+            self.polling,
+        )
         pending = self.nic.rx_pending()
         if pending > 0:
             # Quota exhausted with backlog: ask to be polled again.

@@ -5,8 +5,9 @@ changes. This module probes everything that matrix does not: it fuzzes
 reproducible trial cases — kernel variant x workload (including the
 adversarial generators) x rate x machine (core count, IRQ steering,
 isolated polling cores) x a randomly generated
-:class:`~repro.faults.FaultPlan` x trace ring on or off — and runs each
-case three ways:
+:class:`~repro.faults.FaultPlan` x trace ring on or off x the receive
+knobs (softirq or thread IP input, batch ring pulls, NAPI interrupt
+coalescing) — and runs each case three ways:
 
 1. **reference**: pure backend with the invariant sanitizer attached
    and end-of-trial teardown reconciliation (catches ownership leaks,
@@ -34,13 +35,14 @@ from __future__ import annotations
 
 import random
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from .. import _fastcore
 from ..core import variants
 from ..faults import FaultPlan
 from ..hw.machine import STEERING_POLICIES, MachineSpec
+from ..kernel.config import IP_LAYER_SOFTIRQ, IP_LAYER_THREAD
 from ..sim.backend import FAST, PURE
 from ..sim.randomness import derive_seed
 from .harness import _run_trial_impl
@@ -79,6 +81,9 @@ CHAOS_RATES = (2_000.0, 5_000.0, 8_000.0, 12_000.0)
 
 CHAOS_CORES = (1, 2, 4)
 
+#: NAPI interrupt-coalescing bounds (µs); 0 is pure schedule-on-interrupt.
+CHAOS_COALESCE_US = (0.0, 0.0, 20.0, 100.0)
+
 
 @dataclass(frozen=True)
 class ChaosCase:
@@ -96,6 +101,12 @@ class ChaosCase:
     machine: Optional[MachineSpec] = None
     #: Arm the trace ring (the result then carries the timeline).
     trace: bool = False
+    #: Receive knobs: the classic kernel's IP input context, batch ring
+    #: pulls (clocked and high-IPL drivers) and the NAPI coalescing
+    #: bound, which rides on ``machine``.
+    ip_layer_mode: str = IP_LAYER_THREAD
+    rx_batch_pull: bool = False
+    coalesce_us: float = 0.0
 
     def describe(self) -> str:
         bits = [
@@ -126,6 +137,12 @@ class ChaosCase:
             )
         if self.trace:
             bits.append("trace")
+        if self.ip_layer_mode != IP_LAYER_THREAD:
+            bits.append("ip=%s" % self.ip_layer_mode)
+        if self.rx_batch_pull:
+            bits.append("batch-pull")
+        if self.coalesce_us:
+            bits.append("coalesce=%gus" % self.coalesce_us)
         return " ".join(bits)
 
 
@@ -197,19 +214,30 @@ def fuzz_case(seed: int, index: int) -> ChaosCase:
         else None
     )
     plan = fuzz_fault_plan(rng) if rng.random() < 0.6 else None
+    trial_seed = rng.randrange(2**31)
+    duration_s = rng.choice((0.04, 0.06, 0.08))
+    machine = fuzz_machine(rng)
+    # Each newer axis is drawn after the older ones, so adding it left
+    # every earlier field of (seed, index) unchanged.
+    trace = rng.random() < 0.5
+    ip_layer_mode = rng.choice((IP_LAYER_THREAD, IP_LAYER_SOFTIRQ))
+    rx_batch_pull = rng.random() < 0.5
+    coalesce_us = rng.choice(CHAOS_COALESCE_US)
     return ChaosCase(
         index=index,
         variant=variant,
         workload=workload,
         rate_pps=rate,
-        trial_seed=rng.randrange(2**31),
-        duration_s=rng.choice((0.04, 0.06, 0.08)),
+        trial_seed=trial_seed,
+        duration_s=duration_s,
         warmup_s=0.02,
         attack_rate_pps=attack_rate,
         fault_plan=plan,
-        machine=fuzz_machine(rng),
-        # Drawn last, so every earlier field of (seed, index) is unchanged.
-        trace=rng.random() < 0.5,
+        machine=machine,
+        trace=trace,
+        ip_layer_mode=ip_layer_mode,
+        rx_batch_pull=rx_batch_pull,
+        coalesce_us=coalesce_us,
     )
 
 
@@ -234,8 +262,14 @@ def _diff_keys(a: Dict, b: Dict) -> List[str]:
 
 
 def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
+    config = CHAOS_VARIANTS[case.variant]().with_options(
+        ip_layer_mode=case.ip_layer_mode, rx_batch_pull=case.rx_batch_pull
+    )
+    machine = case.machine
+    if case.coalesce_us:
+        machine = replace(machine or MachineSpec(), coalesce_us=case.coalesce_us)
     return _run_trial_impl(
-        CHAOS_VARIANTS[case.variant](),
+        config,
         case.rate_pps,
         duration_s=case.duration_s,
         warmup_s=case.warmup_s,
@@ -246,7 +280,7 @@ def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
         watchdog=True,
         sanitize=sanitize,
         backend=backend,
-        machine=case.machine,
+        machine=machine,
         trace=case.trace,
     )
 

@@ -305,6 +305,148 @@ def test_traced_faulted_trial_stays_compiled():
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
+#: Branches of the compiled kernel-thread bodies that the driver matrix
+#: leaves out, each with the counter that proves the trial reached it:
+#: the cycle-limiter pass, input inhibited mid-drain by screend
+#: feedback, the clocked quota retuned mid-drain by mitigation, batch
+#: ring pulls, NAPI coalescing (its Sleep and _adapt), the softirq
+#: drain, and the classic kernel's input feedback.
+THREAD_BRANCHES = {
+    "polling-limit-compute": (
+        lambda: variants.polling(cycle_limit=0.5),
+        {"with_compute": True},
+        "cyclelimit.inhibitions",
+    ),
+    "polling-screend-feedback": (
+        lambda: variants.polling(screend=True, feedback=True),
+        {},
+        "feedback.screenq.inhibits",
+    ),
+    "clocked-mitigate": (
+        lambda: variants.clocked(mitigate=True),
+        {"workload": "composite", "attack_rate_pps": 20_000},
+        "mitigation.escalations",
+    ),
+    "clocked-batch-pull": (
+        lambda: variants.clocked().with_options(rx_batch_pull=True),
+        {},
+        "driver.in0.clocked_polls",
+    ),
+    "hybrid-coalesce": (
+        variants.hybrid,
+        {"coalesce_us": 50},
+        "driver.in0.coalesce_grows",
+    ),
+    "unmodified-softirq": (
+        lambda: variants.unmodified(ip_layer_mode="softirq"),
+        {},
+        "queue.ipintrq.dequeued",
+    ),
+    "unmodified-input-feedback": (
+        lambda: variants.unmodified(input_feedback=True),
+        {},
+        "ipintrq.input_inhibits",
+    ),
+}
+SMP4 = dict(cores=4, steering=STEERING_RSS, isolate_polling=True)
+
+
+@needs_corec
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("name", sorted(THREAD_BRANCHES))
+def test_thread_body_branches_bit_identical(name, cores):
+    factory, extra, counter = THREAD_BRANCHES[name]
+    kwargs = dict(TIMING, seed=3, workload="bursty")
+    kwargs.update(extra)
+    if cores == 4:
+        kwargs.update(SMP4)
+    pure = run_trial(TrialSpec.from_kwargs(factory(), 12_000,
+                                           backend="pure", **kwargs))
+    fast = run_trial(TrialSpec.from_kwargs(factory(), 12_000,
+                                           backend="fast", **kwargs))
+    assert fast.backend == FASTCORE_KIND
+    assert pure.counters[counter] > 0
+    assert _canonical_bytes(pure) == _canonical_bytes(fast)
+
+
+@needs_corec
+@pytest.mark.parametrize("machine", [None, MachineSpec(**SMP4)],
+                         ids=["1core", "smp4"])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        variants.polling,
+        variants.hybrid,
+        variants.clocked,
+        variants.unmodified,
+        lambda: variants.unmodified(ip_layer_mode="softirq"),
+    ],
+    ids=["polling", "hybrid", "clocked", "unmodified", "unmodified-softirq"],
+)
+def test_every_kernel_thread_runs_a_compiled_body(factory, machine):
+    """On fast-c no kernel thread, idle loop, hybrid stub or softnet
+    handler resumes a Python generator: the polling, NAPI, clocked and
+    netisr threads and every core's idle loop run a compiled body from
+    spawn, and every device and softnet line has a compiled handler."""
+    from repro.experiments.topology import Router
+
+    router = Router(factory(), sim=make_simulator("fast"), machine=machine)
+    router.start()
+    router.run_for(5_000_000)
+    threads = [system.thread for system in router.polling_systems]
+    threads += [
+        drv.thread
+        for drv in (router.driver_in, router.driver_out)
+        if getattr(drv, "thread", None) is not None
+    ]
+    if router.ip_input is not None and router.ip_input._thread is not None:
+        threads.append(router.ip_input._thread)
+    idle = [
+        task
+        for cpu in router.kernel.cpus
+        for task in cpu._remaining
+        if task.name.startswith("idle")
+    ]
+    assert len(idle) == len(router.kernel.cpus)
+    for task in threads + idle:
+        assert type(task._body).__name__ == "_PPGen", task.name
+    lines = router.kernel.irq_lines()
+    assert all("_pp_irq" in line.__dict__ for line in lines), [
+        line.name for line in lines if "_pp_irq" not in line.__dict__
+    ]
+    packetpath.uninstall(router)
+    for owner in (router.kernel, *router.polling_systems, router.ip_input,
+                  router.driver_in, router.driver_out):
+        assert not any(
+            name.endswith("_body") for name in getattr(owner, "__dict__", {})
+        ), owner
+
+
+@needs_corec
+def test_profile_counts_python_task_bodies_as_python():
+    """Under --profile, a Python task body that compiled code resumes
+    (screend here) is Python time: its resumes add to the python bucket
+    and to ``python_callback_calls``."""
+    from repro._fastcore import _corec
+
+    def profiled(config):
+        _corec.profile_buckets(True)
+        try:
+            result = run_trial(TrialSpec(
+                config, 6_000, seed=1, backend="fast", **TIMING
+            ))
+            return result, _corec.profile_snapshot()
+        finally:
+            _corec.profile_buckets(False)
+
+    _, plain = profiled(variants.polling())
+    screened, split = profiled(variants.polling(screend=True, feedback=True))
+    assert screened.backend == FASTCORE_KIND
+    assert 0 < split["python_callback_s"] <= split["run_s"]
+    extra = split["python_callback_calls"] - plain["python_callback_calls"]
+    assert extra >= screened.counters["screend.accepted"] > 0
+
+
 GC_CASES = {
     "unmodified-12k": TrialSpec(
         variants.unmodified(), 12_000, seed=3, **TIMING

@@ -1,10 +1,12 @@
 """Chaos harness: seed-pure fuzzing, differential legs, replayability."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.chaos import (
+    CHAOS_COALESCE_US,
     CHAOS_CORES,
     CHAOS_RATES,
     CHAOS_VARIANTS,
@@ -16,6 +18,7 @@ from repro.experiments.chaos import (
     run_case,
     run_chaos,
 )
+from repro.kernel.config import IP_LAYER_SOFTIRQ, IP_LAYER_THREAD
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +64,57 @@ def test_fuzz_covers_faults_attacks_and_mitigation():
     assert any(not c.trace for c in cases)
     attacked = [c for c in cases if c.workload == "composite"]
     assert all(c.attack_rate_pps and c.attack_rate_pps > c.rate_pps for c in attacked)
+
+
+#: ``describe()`` of the seed-0 smoke cases before the receive-knob
+#: axes (IP input context, batch pull, coalescing) were added.
+SEED0_BEFORE_RECEIVE_AXES = [
+    "#0 high-ipl composite 12000pps seed=143548237 attack=36000pps "
+    "cores=2/rss/isolate",
+    "#1 polling-inf synflood 12000pps seed=248090579 faults[rx_irq_drop_prob,"
+    "spurious_rx_irq_rate_pps] cores=4/affinity trace",
+    "#2 high-ipl bursty 8000pps seed=1675788535 faults[rx_irq_duplicate_prob] "
+    "cores=4/rss trace",
+    "#3 clocked flashcrowd 8000pps seed=1202628994 faults[rx_irq_duplicate_prob,"
+    "frame_drop_prob,brownout_mean_interval_ns,brownout_duration_ns] "
+    "cores=1/rss/isolate",
+    "#4 clocked-mitigate flashcrowd 12000pps seed=1784000099 "
+    "cores=4/affinity/isolate",
+    "#5 hybrid poisson 12000pps seed=1051053938 faults[rx_stall_mean_interval_ns,"
+    "rx_stall_duration_ns] cores=4/affinity trace",
+    "#6 polling-mitigate constant 2000pps seed=2098970626 "
+    "cores=2/affinity/isolate",
+    "#7 polling flashcrowd 12000pps seed=89562136 faults[rx_irq_drop_prob,"
+    "tx_spike_prob,tx_spike_extra_ns,reorder_prob] cores=1/affinity",
+]
+
+
+def test_receive_axes_leave_every_earlier_field_unchanged():
+    """The receive knobs are drawn last, so each existing (seed, index)
+    still fuzzes the same variant, workload, faults, machine and trace."""
+    for index, before in enumerate(SEED0_BEFORE_RECEIVE_AXES):
+        case = replace(
+            fuzz_case(0, index),
+            ip_layer_mode=IP_LAYER_THREAD,
+            rx_batch_pull=False,
+            coalesce_us=0.0,
+        )
+        assert case.describe() == before
+
+
+def test_fuzz_covers_the_receive_axes():
+    cases = [fuzz_case(0, i) for i in range(100)]
+    assert any(
+        c.variant == "unmodified" and c.ip_layer_mode == IP_LAYER_SOFTIRQ
+        for c in cases
+    )
+    assert any(c.variant == "clocked" and c.rx_batch_pull for c in cases)
+    assert any(c.variant == "hybrid" and c.coalesce_us for c in cases)
+    assert {c.coalesce_us for c in cases} == set(CHAOS_COALESCE_US)
+    for case in cases:
+        text = case.describe().split()
+        assert ("batch-pull" in text) == case.rx_batch_pull
+        assert ("ip=softirq" in text) == (case.ip_layer_mode == IP_LAYER_SOFTIRQ)
 
 
 def test_fuzz_fault_plan_arms_one_to_three_axes():

@@ -3,8 +3,9 @@
 Much of ``repro/_fastcore/_corec.c`` replays Python methods step for
 step — the simulator's event loop (scheduling, cancellation, the timing
 wheel and the drain loop), the CPU engine, NIC rings, queues,
-IP forwarding, the driver IRQ handlers, the generators, and the trace
-hooks inside all of them. The
+IP forwarding, the driver IRQ handlers, the kernel threads and their
+shared receive drain, the generators, and the trace hooks inside all
+of them. The
 parity matrix only notices an edit to one of those bodies when some
 cell happens to reach the change; this test notices every edit. It pins
 a normalized hash of each mirrored function (its syntax tree, without
@@ -48,6 +49,7 @@ MIRRORED = {
     "repro.sim._drain": ["drain_plain"],
     "repro.sim.units": ["cycles_to_ns", "ns_to_cycles"],
     "repro.sim.probes": ["Counter.increment"],
+    "repro.sim.signals": ["Signal.add_waiter", "Signal.fire"],
     "repro.sim.process": [
         "Process.__init__",
         "Process.on_exit",
@@ -63,12 +65,12 @@ MIRRORED = {
         "CPU.add_work",
         "CPU.requeue_behind",
         "CPU.on_task_ipl_changed",
-        "CPU.remove_task",
         "CPU._pick",
         "CPU._stop_current",
         "CPU._reschedule",
         "CPU._complete",
         "CPU._notify_ipl",
+        "CPU.read_cycle_counter",
     ],
     "repro.hw.nic": [
         "NIC.receive_from_wire",
@@ -85,20 +87,22 @@ MIRRORED = {
     ],
     "repro.hw.interrupts": [
         "InterruptLine.request",
+        "InterruptLine.enable",
+        "InterruptLine.disable",
+        "InterruptLine.acknowledge",
         "InterruptController.try_deliver",
         "InterruptController._handler_body",
         "InterruptController._handler_done",
         "InterruptController._on_ipl_change",
     ],
     "repro.kernel.queues": [
+        "PacketQueue.empty",
         "PacketQueue.full",
         "PacketQueue.enqueue",
         "PacketQueue.dequeue",
         "PacketQueue._fire_high_if_needed",
-        "REDQueue.enqueue",
-        "REDQueue._should_early_drop",
     ],
-    "repro.kernel.kernel": ["Kernel._clock_handler"],
+    "repro.kernel.kernel": ["Kernel._clock_handler", "Kernel._idle_body"],
     "repro.net.packet": [
         "Packet.reset",
         "Packet.mark_nic_arrival",
@@ -110,9 +114,12 @@ MIRRORED = {
     "repro.net.routing": ["Route.matches", "RoutingTable.lookup"],
     "repro.net.arp": ["ArpTable.resolve"],
     "repro.net.ip": ["IPLayer.input_packet", "IPLayer._dispatch"],
-    "repro.drivers.base": ["Driver._tx_service"],
+    "repro.drivers.base": ["drain", "Driver._tx_service"],
     "repro.drivers.bsd": [
         "ClassicIPInput.enqueue",
+        "ClassicIPInput.post",
+        "ClassicIPInput._softirq_body",
+        "ClassicIPInput._netisr_body",
         "BsdDriver._rx_handler",
         "BsdDriver.output",
         "BsdDriver._tx_handler",
@@ -124,14 +131,32 @@ MIRRORED = {
     "repro.drivers.polled": [
         "PolledDriver._rx_stub",
         "PolledDriver._tx_stub",
+        "PolledDriver.rx_pending",
+        "PolledDriver.tx_pending",
+        "PolledDriver.rx_callback",
+        "PolledDriver.tx_callback",
+        "PolledDriver.enable_interrupts",
         "PolledDriver.output",
     ],
-    "repro.drivers.clocked": ["ClockedPollingDriver.output"],
-    "repro.metrics.latency": ["LatencyRecorder.observe"],
-    "repro.experiments.topology": [
-        "Router._on_output_transmit",
-        "Router._on_input_transmit",
+    "repro.drivers.hybrid": [
+        "HybridDriver._rx_stub",
+        "HybridDriver._tx_stub",
+        "HybridDriver._schedule",
+        "HybridDriver._napi_body",
+        "HybridDriver._adapt",
     ],
+    "repro.drivers.clocked": [
+        "ClockedPollingDriver._poll_body",
+        "ClockedPollingDriver.output",
+    ],
+    "repro.core.polling": [
+        "PollingSystem.wake",
+        "PollingSystem.input_allowed",
+        "PollingSystem._body",
+    ],
+    "repro.core.cyclelimit": ["CycleLimiter.inhibited", "CycleLimiter.charge"],
+    "repro.metrics.latency": ["LatencyRecorder.observe"],
+    "repro.experiments.topology": ["Router._on_output_transmit"],
     "repro.workloads.generators": [
         "TrafficGenerator._emit",
         "ConstantRateGenerator._next_gap",
